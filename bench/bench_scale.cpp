@@ -15,12 +15,9 @@
 //     core count (or on a 1-core CI box) expect ~1x plus scheduling noise —
 //     the column reports what the host actually did, never a formula.
 //
-// A second section drives the kSharded walk engine (Lemma 2.5) and publishes
-// its per-shard merged-meter trail: shard{i}_messages must sum to the "walk
-// rounds" phase messages, which scripts/check_bench_json.py re-derives
-// offline from the JSON.
+// A second section runs the Lemma 2.5 random-walk gather on an apexed cycle
+// with default parameters and publishes its rounds, messages and wall time.
 #include <chrono>
-#include <memory>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -157,41 +154,24 @@ int main(int argc, char** argv) {
                "in n, and speedup approaches min(threads, cores) as the "
                "per-round work grows.\n";
 
-  // The kSharded walk engine and its merged-meter trail (Lemma 2.5): the
-  // per-shard message totals are published so the JSON checker can re-derive
-  // the merged "walk rounds" charge offline.
+  // The Lemma 2.5 walk gather at default parameters: its measured rounds,
+  // messages and wall time, behind the same runtime audit as the LDD rows.
   {
     const int rw_n = smoke ? 2047 : 65535;
     Rng rng(17);
     const expander::ExpanderSplit sp =
         expander::expander_split(add_apex(cycle_graph(rw_n)), rng);
-    expander::RwParams rp;
-    rp.sim_engine = expander::RwSimEngine::kSharded;
-    rp.pool = &pool;
-    const expander::RwResult rw =
-        expander::gather_random_walks(sp, rw_n, 0.05, rp);
-    std::cout << "\n-- kSharded walk engine (apexed cycle, n=" << rw_n + 1
+    const auto t_walk = std::chrono::steady_clock::now();
+    const expander::RwResult rw = expander::gather_random_walks(sp, rw_n, 0.05);
+    const double walk_ms = wall_ms_since(t_walk);
+    std::cout << "\n-- random-walk gather (apexed cycle, n=" << rw_n + 1
               << "): delivered " << Table::num(rw.delivered_fraction, 3)
-              << ", rounds " << rw.rounds << ", meter shards "
-              << rw.shard_messages.size() << "\n";
+              << ", rounds " << rw.rounds << ", "
+              << Table::num(walk_ms, 1) << " ms\n";
     check_runtime_audit(rw.ledger, 2 * sp.g.m(), "rw walk");
-    std::int64_t lane_sum = 0;
-    for (std::int64_t m : rw.shard_messages) lane_sum += m;
-    const std::int64_t walk_messages = rw.ledger.entries()[0].messages;
-    if (lane_sum != walk_messages) {
-      std::cerr << "merged-meter trail FAILED: lanes sum to " << lane_sum
-                << ", walk rounds charged " << walk_messages << "\n";
-      return 1;
-    }
-    std::cout << "merged-meter trail: " << rw.shard_messages.size()
-              << " lanes sum to " << lane_sum << " == walk-round messages\n";
-    json.metric("meter_shards",
-                static_cast<std::int64_t>(rw.shard_messages.size()));
-    json.metric("walk_messages_merged", walk_messages);
-    for (std::size_t s = 0; s < rw.shard_messages.size(); ++s) {
-      json.metric("shard" + std::to_string(s) + "_messages",
-                  rw.shard_messages[s]);
-    }
+    json.metric("walk_rounds", rw.rounds);
+    json.metric("walk_messages", rw.ledger.total_messages());
+    json.metric("walk_ms", walk_ms);
   }
 
   json.write();

@@ -23,11 +23,10 @@ enforces the same bandwidth invariants Runtime::audit() checks, so a bench
 that emits inconsistent accounting fails CI even if the binary forgot to
 audit. No third-party dependencies — stdlib json only.
 
-bench_scale (bench == "scale") additionally publishes its sharded-engine
-merge trail, which is re-derived here: a positive thread count, a positive
-meter-shard count, and one shard{i}_messages metric per lane whose sum must
-equal walk_messages_merged — the offline proof that the per-shard meters
-merged to the serial totals (docs/ARCHITECTURE.md, "The bandwidth model").
+bench_scale (bench == "scale") additionally publishes its thread counts,
+per-family LDD round totals (asserted serial == sharded in-binary) and the
+random-walk gather's columns: a positive thread count, positive rounds for
+every family, positive walk_rounds, non-negative walk_messages and walk_ms.
 
 bench_expander_decomp (bench == "expander_decomp") additionally publishes
 the certified-vs-estimated conductance split from the cut-matching certify
@@ -147,7 +146,7 @@ def check_file(path):
 
 
 def check_scale(path, doc):
-    """bench_scale extras: thread counts and the per-shard merge trail."""
+    """bench_scale extras: thread counts, LDD rounds and the walk columns."""
     params, metrics = doc["params"], doc["metrics"]
     threads = params.get("threads")
     if not isinstance(threads, INT) or threads < 1:
@@ -155,30 +154,24 @@ def check_scale(path, doc):
     actual = metrics.get("threads_actual")
     if not isinstance(actual, INT) or actual < 1:
         return fail(path, f"scale: metrics.threads_actual invalid ({actual!r})")
-    shards = metrics.get("meter_shards")
-    if not isinstance(shards, INT) or shards < 1:
-        return fail(path, f"scale: metrics.meter_shards invalid ({shards!r})")
-    # Re-derive the merged walk-meter total from the per-lane trail: every
-    # lane must be present, non-negative, and the lanes must sum exactly.
-    lane_sum = 0
-    for i in range(shards):
-        lane = metrics.get(f"shard{i}_messages")
-        if not isinstance(lane, INT) or lane < 0:
-            return fail(path, f"scale: shard{i}_messages invalid ({lane!r})")
-        lane_sum += lane
-    merged = metrics.get("walk_messages_merged")
-    if not isinstance(merged, INT):
-        return fail(path, f"scale: walk_messages_merged invalid ({merged!r})")
-    if lane_sum != merged:
-        return fail(path, f"scale: shard trail sums to {lane_sum}, "
-                          f"walk_messages_merged is {merged}")
     # The engine cannot change the algorithm: serial and sharded round
     # totals were asserted identical in-binary; the published rounds must
     # be positive for every family column that made it into metrics.
     for key, val in metrics.items():
         if key.startswith("rounds_") and (not isinstance(val, INT) or val < 1):
             return fail(path, f"scale: metrics.{key} invalid ({val!r})")
-    print(f"{path}: scale merge trail ok ({shards} lanes, {merged} messages)")
+    walk_rounds = metrics.get("walk_rounds")
+    if not isinstance(walk_rounds, INT) or walk_rounds < 1:
+        return fail(path, f"scale: metrics.walk_rounds invalid ({walk_rounds!r})")
+    walk_messages = metrics.get("walk_messages")
+    if not isinstance(walk_messages, INT) or walk_messages < 0:
+        return fail(path, f"scale: metrics.walk_messages invalid "
+                          f"({walk_messages!r})")
+    walk_ms = metrics.get("walk_ms")
+    if not isinstance(walk_ms, NUM) or isinstance(walk_ms, bool) or walk_ms < 0:
+        return fail(path, f"scale: metrics.walk_ms invalid ({walk_ms!r})")
+    print(f"{path}: scale ok ({walk_rounds} walk rounds, "
+          f"{walk_messages} walk messages)")
     return True
 
 

@@ -1,6 +1,6 @@
 // Exact maximum independent set (and the exact covers derived from it) —
 // the centralized baselines the Section-6 approximation applications are
-// graded against (bench_mis, bench_matching_vc, bench_kernels), and the
+// graded against (bench_mis, bench_matching_vc), and the
 // per-cluster solver apps/approx.hpp runs inside decomposition clusters.
 // Branch and bound with the standard reductions: degree-0/1 vertices are
 // always taken, components whose maximum degree is at most 2 (cycles after

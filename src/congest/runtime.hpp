@@ -104,9 +104,9 @@ class MessageMeter {
   ///
   /// Contract for non-positive counts: metering is monotone, so count <= 0
   /// is a no-op QUERY — it records nothing, does not mark the slot as
-  /// touched (touched_ means "nonzero load this round"; the sharded merge
-  /// in congest/shard.hpp and per-round cleanup both rely on that being
-  /// literally true), and negative counts never un-send traffic. The return
+  /// touched (touched_ means "nonzero load this round"; per-round cleanup
+  /// relies on that being literally true), and negative counts never
+  /// un-send traffic. The return
   /// value is still the slot's load so far this round, so send(s, 0) reads
   /// a slot's open-round load without perturbing the meter.
   std::int64_t send(std::int64_t s, std::int64_t count = 1) {
@@ -170,9 +170,8 @@ struct AuditResult {
   std::string violation;
 };
 
-/// The substrate itself: append-only phase charges. Replaces decomp::Ledger
-/// (which is now an alias of this class); everything in decomp/, expander/
-/// and apps/ charges simulated rounds through one of these.
+/// The substrate itself: append-only phase charges. Everything in decomp/,
+/// expander/ and apps/ charges simulated rounds through one of these.
 class Runtime {
  public:
   void charge(const std::string& phase, std::int64_t rounds,

@@ -1,10 +1,9 @@
 // The sharded per-round engine: vertex work inside a simulated CONGEST round
 // is embarrassingly parallel (rounds are synchronous barriers), so the hot
-// simulation paths — heavy-stars pointing, the LDD merge/BFS sweeps, the
-// rw_routing walk rounds — partition their vertices across a thread pool and
-// meet at a barrier per round.
+// simulation paths — heavy-stars pointing, the LDD merge/BFS sweeps — partition
+// their vertices across a thread pool and meet at a barrier per round.
 //
-// Three pieces, shared by every sharded engine in the tree:
+// Two pieces, shared by every sharded engine in the tree:
 //
 //   * ShardPlan — the contiguous even partition of [0, n). Contiguity is
 //     load-bearing: CSR adjacency and MessageMeter slot ids are both laid
@@ -16,20 +15,12 @@
 //     skewed cluster sizes still balance), and barriers before returning.
 //     With one thread the loop runs inline on the caller — the serial
 //     reference path and the sharded path share one code body.
-//   * ShardedMeter — congest::MessageMeter split into per-shard lanes.
-//     Each lane owns a contiguous slot slice and is only ever written by its
-//     owning shard, so metering is race-free without atomics; merging the
-//     lanes (totals summed, peaks maxed) reproduces the serial meter's
-//     totals BIT-IDENTICALLY, which is what lets Runtime::audit() keep the
-//     PR-5 invariants (conservation, messages <= rounds * edges * peak,
-//     charge order) exact under sharding.
 //
 // Determinism contract: every sharded engine must produce results equal to
 // its serial reference for EVERY shard count. The engines only parallelize
-// loops whose per-vertex effects are independent (pointing, relabeling),
+// loops whose per-vertex effects are independent (pointing, relabeling), or
 // whose reductions are integer sums/maxes (associative and commutative, so
-// task grouping cannot change them), or whose cross-shard traffic is
-// exchanged through double-buffered outboxes drained in shard order.
+// task grouping cannot change them).
 // tests/test_shard.cpp sweeps shard counts {1, 2, 7, hardware} and asserts
 // bit-identical outputs against the serial engines.
 #pragma once
@@ -165,102 +156,6 @@ class ShardPool {
   int idle_ = 0;
   std::int64_t generation_ = 0;
   bool stop_ = false;
-};
-
-/// congest::MessageMeter split into per-shard lanes. Lane s owns the global
-/// slot slice [slot_begin[s], slot_begin[s+1]) and must be the ONLY shard
-/// that calls send(s, ...) for slots in that slice — engines shard traffic
-/// by source vertex, and slot ids are assigned in source-vertex order, so
-/// ownership is automatic. Lanes are cache-line padded; no atomics.
-///
-/// Merge semantics (the serial-equivalence contract): a round's global peak
-/// is the max over lanes of the lane's open-round peak, because every slot
-/// lives in exactly one lane; total messages is the sum over lanes; the
-/// whole-run peak is the max over rounds of the per-round global peaks.
-/// These merged views equal, bit for bit, what one serial MessageMeter fed
-/// the same traffic would report — Runtime charges read the merged values,
-/// so Runtime::audit() sees sharding-invariant numbers.
-class ShardedMeter {
- public:
-  ShardedMeter() = default;
-
-  /// slot_begin has size shards+1, ascending; lane s covers global slots
-  /// [slot_begin[s], slot_begin[s+1]).
-  explicit ShardedMeter(std::vector<std::int64_t> slot_begin)
-      : slot_begin_(std::move(slot_begin)) {
-    const int shards =
-        std::max(1, static_cast<int>(slot_begin_.size()) - 1);
-    lanes_.reserve(static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s) {
-      const std::int64_t lo = slot_index(s);
-      const std::int64_t hi = slot_index(s + 1);
-      lanes_.emplace_back(std::max<std::int64_t>(hi - lo, 0), lo);
-    }
-  }
-
-  int shards() const { return static_cast<int>(lanes_.size()); }
-
-  /// Record `count` messages on global slot `s` from its owning shard.
-  /// Same contract as MessageMeter::send (count <= 0 is a no-op query).
-  std::int64_t send(int shard, std::int64_t s, std::int64_t count = 1) {
-    Lane& lane = lanes_[static_cast<std::size_t>(shard)];
-    return lane.meter.send(s - lane.offset, count);
-  }
-
-  /// Peak per-slot load of the open round, merged over lanes. Only valid
-  /// between barriers (no shard may be mid-send).
-  std::int64_t round_peak() const {
-    std::int64_t p = 0;
-    for (const Lane& lane : lanes_) p = std::max(p, lane.meter.round_peak());
-    return p;
-  }
-
-  /// Close the open round on every lane (call from the coordinator, at the
-  /// barrier). Advances the merged round count by one.
-  void end_round() {
-    for (Lane& lane : lanes_) lane.meter.end_round();
-    ++rounds_;
-  }
-
-  std::int64_t rounds() const { return rounds_; }
-
-  /// Merged totals — equal to a serial MessageMeter fed the same traffic.
-  std::int64_t total_messages() const {
-    std::int64_t t = 0;
-    for (const Lane& lane : lanes_) t += lane.meter.total_messages();
-    return t;
-  }
-  std::int64_t peak_congestion() const {
-    std::int64_t p = 0;
-    for (const Lane& lane : lanes_) {
-      p = std::max(p, lane.meter.peak_congestion());
-    }
-    return p;
-  }
-
-  /// Per-lane message totals — the merge trail bench_scale publishes so
-  /// scripts/check_bench_json.py can re-derive the merged total offline.
-  std::int64_t shard_messages(int s) const {
-    return lanes_[static_cast<std::size_t>(s)].meter.total_messages();
-  }
-
- private:
-  std::int64_t slot_index(int i) const {
-    if (slot_begin_.empty()) return 0;
-    i = std::min(i, static_cast<int>(slot_begin_.size()) - 1);
-    return slot_begin_[static_cast<std::size_t>(i)];
-  }
-
-  struct alignas(64) Lane {
-    MessageMeter meter;
-    std::int64_t offset = 0;
-    Lane(std::int64_t slots, std::int64_t offset_)
-        : meter(slots), offset(offset_) {}
-  };
-
-  std::vector<std::int64_t> slot_begin_;
-  std::vector<Lane> lanes_;
-  std::int64_t rounds_ = 0;
 };
 
 /// Convenience: run fn(lo, hi, task) over an even contiguous partition of

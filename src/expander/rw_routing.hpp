@@ -21,36 +21,22 @@
 // congest::Runtime substrate, along with the measured message count (edge
 // traversals) and peak per-edge congestion.
 //
-// The default inner loop is the batched per-round engine (walks bucketed by
-// current vertex, one adjacency-row touch per occupied vertex per round);
-// RwSimEngine::kSerial keeps the original token-serial loop as the reference
-// the equivalence test compares against — both are bit-identical in outcome.
+// The simulation is one token-serial loop: every round advances the walks in
+// walk-id order. Bucketing walks by vertex, or sharding vertices over a
+// thread pool, gave bit-identical outcomes but ran slower on every measured
+// input (docs/ARCHITECTURE.md), so neither is kept.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "congest/runtime.hpp"
-#include "congest/shard.hpp"
 #include "decomp/clustering.hpp"
 #include "expander/split.hpp"
 
 namespace mfd::expander {
-
-/// Which inner-loop the walk simulation runs. All three are bit-identical in
-/// outcome (same per-walk counter hash, same congestion accounting — the
-/// equivalence tests pin this); kBatched groups the walks by current vertex
-/// so each round touches every adjacency row once instead of once per walk,
-/// which is what lets the simulation scale past the token-serial regime the
-/// ROADMAP flagged. kSharded additionally partitions the vertices across a
-/// congest::ShardPool with double-buffered per-round message exchange
-/// between shards and a per-shard congest::ShardedMeter — the multi-core
-/// engine for the multi-million-vertex benches. kSerial is kept as the
-/// reference implementation.
-enum class RwSimEngine { kBatched, kSerial, kSharded };
 
 struct RwParams {
   double laziness = 0.5;   // stay-put probability per round
@@ -60,12 +46,6 @@ struct RwParams {
   int max_seed_tries = 64;
   double phi_floor = 0.02;  // clamp for the certificate in the length formula
   std::uint64_t base_seed = 0x243F6A8885A308D3ULL;  // published search origin
-  RwSimEngine sim_engine = RwSimEngine::kBatched;
-  // kSharded engine only: worker count (0 = hardware_concurrency) and an
-  // optional lent pool — one pool is created per gather call otherwise, and
-  // reused across the whole seed search.
-  int threads = 0;
-  congest::ShardPool* pool = nullptr;
 };
 
 struct RwSchedule {
@@ -89,10 +69,6 @@ struct RwResult {
   std::vector<int> route;
   int walk_length = 0;     // rounds of walking simulated for the chosen seed
   congest::Runtime ledger;
-  // kSharded engine only: per-shard message totals of the accepted seed's
-  // merged meter (sums to the "walk rounds" phase messages) — the merge
-  // trail bench_scale publishes for offline re-derivation.
-  std::vector<std::int64_t> shard_messages;
 };
 
 namespace detail {
@@ -103,12 +79,6 @@ inline std::uint64_t rw_mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
-}
-
-inline int ceil_log2(int x) {
-  int bits = 0;
-  while ((1LL << bits) < x) ++bits;
-  return std::max(bits, 1);
 }
 
 /// The part-local walking arena: intra-part adjacency with directed slot ids
@@ -170,59 +140,34 @@ struct SimOutcome {
   std::int64_t moves = 0;      // edge traversals (messages actually sent)
   std::int64_t peak_load = 0;  // worst per-edge per-round congestion seen
   std::vector<int> route;
-  std::vector<std::int64_t> shard_messages;  // kSharded: per-lane totals
 };
 
-/// Shared fixed-point bookkeeping of both simulation engines: the walk-count
-/// delivery target, scaled when the population was subsampled.
-struct SimTargets {
-  double walk_target_scaled = 0.0;
-  double scale = 1.0;
-
-  SimTargets(const Arena& a, double target_fraction) {
-    const std::int64_t walks = static_cast<std::int64_t>(a.start.size());
-    const double walk_target =
-        target_fraction * static_cast<double>(a.population) -
-        static_cast<double>(a.predelivered);
-    if (a.population - a.predelivered != 0) {
-      scale = static_cast<double>(walks) /
-              static_cast<double>(a.population - a.predelivered);
-    }
-    walk_target_scaled = walk_target * scale;
-  }
-
-  void finish(const Arena& a, std::int64_t delivered_walks,
-              SimOutcome& out) const {
-    const double delivered_tokens =
-        static_cast<double>(a.predelivered) +
-        (scale == 0.0 ? 0.0 : static_cast<double>(delivered_walks) / scale);
-    out.delivered_fraction =
-        a.population == 0
-            ? 1.0
-            : std::min(1.0,
-                       delivered_tokens / static_cast<double>(a.population));
-  }
-};
-
-/// Reference engine: run every walk for up to `T` rounds under seed `seed`,
-/// one walk at a time, metering per-round directed-edge congestion through
-/// congest::MessageMeter (every token move is one O(log n)-bit message over
-/// its edge slot). Stops early once the target fraction is in.
-inline SimOutcome simulate_serial(const Arena& a, std::uint64_t seed, int T,
-                                  double laziness, double target_fraction) {
+/// Run every walk for up to `T` rounds under seed `seed`, one walk at a time,
+/// metering per-round directed-edge congestion through congest::MessageMeter
+/// (every token move is one O(log n)-bit message over its edge slot). Stops
+/// early once the target fraction is in; when the population was subsampled,
+/// the walk-count target and the delivered fraction are rescaled to tokens.
+inline SimOutcome simulate(const Arena& a, std::uint64_t seed, int T,
+                           double laziness, double target_fraction) {
   SimOutcome out;
   std::vector<int> pos(a.start);
   std::vector<char> active(a.start.size(), 1);
   out.route.assign(a.start.size(), -1);
   std::int64_t delivered_walks = 0;
-  const SimTargets targets(a, target_fraction);
+  const std::int64_t active_tokens = a.population - a.predelivered;
+  const double scale =
+      active_tokens != 0 ? static_cast<double>(a.start.size()) /
+                               static_cast<double>(active_tokens)
+                         : 1.0;
+  const double walk_target =
+      (target_fraction * static_cast<double>(a.population) -
+       static_cast<double>(a.predelivered)) *
+      scale;
   const auto lazy_cut =
       static_cast<std::uint32_t>(laziness * 4294967296.0);
   congest::MessageMeter meter(a.slots);
   for (int t = 1; t <= T; ++t) {
-    if (static_cast<double>(delivered_walks) >= targets.walk_target_scaled) {
-      break;
-    }
+    if (static_cast<double>(delivered_walks) >= walk_target) break;
     bool any_active = false;
     for (std::size_t w = 0; w < pos.size(); ++w) {
       if (!active[w]) continue;
@@ -252,222 +197,14 @@ inline SimOutcome simulate_serial(const Arena& a, std::uint64_t seed, int T,
   }
   out.moves = meter.total_messages();
   out.peak_load = meter.peak_congestion();
-  targets.finish(a, delivered_walks, out);
+  const double delivered_tokens =
+      static_cast<double>(a.predelivered) +
+      (scale == 0.0 ? 0.0 : static_cast<double>(delivered_walks) / scale);
+  out.delivered_fraction =
+      a.population == 0
+          ? 1.0
+          : std::min(1.0, delivered_tokens / static_cast<double>(a.population));
   return out;
-}
-
-/// Batched engine: walks are bucketed by current vertex, so each round
-/// touches every occupied adjacency row once (and in vertex order) instead
-/// of hopping rows once per walk. Every per-walk effect — the counter hash
-/// rw_mix(seed, w, t), the slot congestion counts, delivery — is identical
-/// to the serial engine, so the two produce bit-equal SimOutcomes; only the
-/// memory access pattern changes.
-inline SimOutcome simulate_batched(const Arena& a, std::uint64_t seed, int T,
-                                   double laziness, double target_fraction) {
-  SimOutcome out;
-  const int k = static_cast<int>(a.nbr.size());
-  std::vector<int> pos(a.start);
-  out.route.assign(a.start.size(), -1);
-  std::int64_t delivered_walks = 0;
-  const SimTargets targets(a, target_fraction);
-  const auto lazy_cut =
-      static_cast<std::uint32_t>(laziness * 4294967296.0);
-  std::vector<std::vector<int>> bucket(k), next_bucket(k);
-  for (std::size_t w = 0; w < a.start.size(); ++w) {
-    bucket[a.start[w]].push_back(static_cast<int>(w));
-  }
-  congest::MessageMeter meter(a.slots);
-  for (int t = 1; t <= T; ++t) {
-    if (static_cast<double>(delivered_walks) >= targets.walk_target_scaled) {
-      break;
-    }
-    bool any_active = false;
-    for (int u = 0; u < k; ++u) {
-      if (bucket[u].empty()) continue;
-      any_active = true;
-      const int deg = static_cast<int>(a.nbr[u].size());
-      const int* nbrs = a.nbr[u].data();
-      const int* slots = a.slot[u].data();
-      for (int w : bucket[u]) {
-        ++out.steps;
-        const std::uint64_t z = rw_mix(seed, w, static_cast<std::uint64_t>(t));
-        if (static_cast<std::uint32_t>(z >> 32) < lazy_cut || deg == 0) {
-          next_bucket[u].push_back(w);  // lazy stay (or stranded walk)
-          continue;
-        }
-        const int j = static_cast<int>((z & 0xffffffffULL) % deg);
-        meter.send(slots[j]);
-        const int v = nbrs[j];
-        pos[w] = v;
-        if (v == a.star) {
-          out.route[w] = a.star;
-          ++delivered_walks;
-        } else {
-          next_bucket[v].push_back(w);
-        }
-      }
-      bucket[u].clear();
-    }
-    if (!any_active) break;
-    ++out.walk_rounds;
-    out.rounds += std::max<std::int64_t>(1, meter.round_peak());
-    meter.end_round();
-    bucket.swap(next_bucket);
-  }
-  for (std::size_t w = 0; w < pos.size(); ++w) {
-    if (out.route[w] < 0) out.route[w] = pos[w];
-  }
-  out.moves = meter.total_messages();
-  out.peak_load = meter.peak_congestion();
-  targets.finish(a, delivered_walks, out);
-  return out;
-}
-
-/// Sharded engine: the batched round loop partitioned across a ShardPool.
-/// Each shard owns a contiguous vertex slice (and, because slot ids are
-/// assigned in vertex order, the matching ShardedMeter lane). A round is two
-/// barriers: phase A walks every shard's occupied buckets — lazy stays and
-/// intra-shard moves land directly in the shard's own next buckets, cross-
-/// shard moves go to a double-buffered outbox — and phase B drains each
-/// shard's inboxes in source-shard order. Every per-walk effect (the counter
-/// hash, slot congestion, delivery) is identical to the serial engine, and
-/// bucket order never influences outcomes (per-walk moves depend only on
-/// (seed, w, t); per-round counters are order-free sums/maxes), so the
-/// SimOutcome is bit-equal to kSerial/kBatched for every shard count.
-inline SimOutcome simulate_sharded(const Arena& a, std::uint64_t seed, int T,
-                                   double laziness, double target_fraction,
-                                   congest::ShardPool& pool) {
-  SimOutcome out;
-  const int k = static_cast<int>(a.nbr.size());
-  const int S = pool.threads();
-  const congest::ShardPlan plan(k, S);
-  std::vector<int> owner(k, 0);
-  for (int s = 0; s < S; ++s) {
-    for (int v = plan.begin(s); v < plan.end(s); ++v) owner[v] = s;
-  }
-  // Slot ids are assigned per source vertex in ascending order (Arena ctor),
-  // so shard s owns the contiguous slot slice starting at its first vertex.
-  std::vector<std::int64_t> slot_begin(static_cast<std::size_t>(S) + 1, 0);
-  {
-    std::vector<std::int64_t> pref(static_cast<std::size_t>(k) + 1, 0);
-    for (int v = 0; v < k; ++v) {
-      pref[v + 1] = pref[v] + static_cast<std::int64_t>(a.nbr[v].size());
-    }
-    for (int s = 0; s <= S; ++s) {
-      slot_begin[static_cast<std::size_t>(s)] = pref[plan.begin(s)];
-    }
-  }
-  congest::ShardedMeter meter(std::move(slot_begin));
-
-  std::vector<int> pos(a.start);
-  out.route.assign(a.start.size(), -1);
-  const SimTargets targets(a, target_fraction);
-  const auto lazy_cut =
-      static_cast<std::uint32_t>(laziness * 4294967296.0);
-  std::vector<std::vector<int>> bucket(k), next_bucket(k);
-  for (std::size_t w = 0; w < a.start.size(); ++w) {
-    bucket[a.start[w]].push_back(static_cast<int>(w));
-  }
-  struct alignas(64) LaneState {
-    std::int64_t delivered = 0;
-    std::int64_t steps = 0;
-    char active = 0;
-  };
-  std::vector<LaneState> lanes(static_cast<std::size_t>(S));
-  struct Move {
-    int v;
-    int w;
-  };
-  std::vector<std::vector<Move>> outbox(static_cast<std::size_t>(S) * S);
-
-  std::int64_t delivered_walks = 0;
-  for (int t = 1; t <= T; ++t) {
-    if (static_cast<double>(delivered_walks) >= targets.walk_target_scaled) {
-      break;
-    }
-    // Phase A: every shard advances the walks parked in its vertex slice.
-    pool.run(S, [&](int s, int /*worker*/) {
-      LaneState& lane = lanes[static_cast<std::size_t>(s)];
-      for (int u = plan.begin(s); u < plan.end(s); ++u) {
-        if (bucket[u].empty()) continue;
-        lane.active = 1;
-        const int deg = static_cast<int>(a.nbr[u].size());
-        const int* nbrs = a.nbr[u].data();
-        const int* slots = a.slot[u].data();
-        for (int w : bucket[u]) {
-          ++lane.steps;
-          const std::uint64_t z =
-              rw_mix(seed, static_cast<std::uint64_t>(w),
-                     static_cast<std::uint64_t>(t));
-          if (static_cast<std::uint32_t>(z >> 32) < lazy_cut || deg == 0) {
-            next_bucket[u].push_back(w);  // lazy stay (or stranded walk)
-            continue;
-          }
-          const int j = static_cast<int>((z & 0xffffffffULL) % deg);
-          meter.send(s, slots[j]);
-          const int v = nbrs[j];
-          pos[w] = v;
-          if (v == a.star) {
-            out.route[w] = a.star;
-            ++lane.delivered;
-          } else if (owner[v] == s) {
-            next_bucket[v].push_back(w);
-          } else {
-            outbox[static_cast<std::size_t>(s) * S + owner[v]].push_back({v, w});
-          }
-        }
-        bucket[u].clear();
-      }
-    });
-    // Phase B: each shard drains its inboxes (in source-shard order) into
-    // its own next buckets — the double-buffered message exchange.
-    pool.run(S, [&](int d, int /*worker*/) {
-      for (int s = 0; s < S; ++s) {
-        std::vector<Move>& box = outbox[static_cast<std::size_t>(s) * S + d];
-        for (const Move& mv : box) next_bucket[mv.v].push_back(mv.w);
-        box.clear();
-      }
-    });
-    bool any_active = false;
-    delivered_walks = 0;
-    for (LaneState& lane : lanes) {
-      any_active = any_active || lane.active != 0;
-      lane.active = 0;
-      delivered_walks += lane.delivered;
-    }
-    if (!any_active) break;
-    ++out.walk_rounds;
-    out.rounds += std::max<std::int64_t>(1, meter.round_peak());
-    meter.end_round();
-    bucket.swap(next_bucket);
-  }
-  for (std::size_t w = 0; w < pos.size(); ++w) {
-    if (out.route[w] < 0) out.route[w] = pos[w];
-  }
-  delivered_walks = 0;
-  for (const LaneState& lane : lanes) {
-    out.steps += lane.steps;
-    delivered_walks += lane.delivered;
-  }
-  out.moves = meter.total_messages();
-  out.peak_load = meter.peak_congestion();
-  out.shard_messages.resize(static_cast<std::size_t>(S));
-  for (int s = 0; s < S; ++s) out.shard_messages[s] = meter.shard_messages(s);
-  targets.finish(a, delivered_walks, out);
-  return out;
-}
-
-inline SimOutcome simulate(const Arena& a, std::uint64_t seed, int T,
-                           double laziness, double target_fraction,
-                           RwSimEngine engine = RwSimEngine::kBatched,
-                           congest::ShardPool* pool = nullptr) {
-  if (engine == RwSimEngine::kSerial) {
-    return simulate_serial(a, seed, T, laziness, target_fraction);
-  }
-  if (engine == RwSimEngine::kSharded && pool != nullptr) {
-    return simulate_sharded(a, seed, T, laziness, target_fraction, *pool);
-  }
-  return simulate_batched(a, seed, T, laziness, target_fraction);
 }
 
 inline int walk_length(const Arena& a, double phi, double f,
@@ -496,18 +233,10 @@ inline RwResult gather_random_walks(const ExpanderSplit& sp, int v_star,
   detail::Arena arena(sp, v_star);
   arena.spawn_walks(p.max_walks_total);
   out.schedule.walks = static_cast<int>(arena.start.size());
-  out.schedule.domain_bits = detail::ceil_log2(sp.g.n());
+  out.schedule.domain_bits = congest::ceil_log2(sp.g.n());
   if (arena.population == 0 || arena.start.empty()) {
     out.delivered_fraction = 1.0;
     return out;
-  }
-
-  // kSharded: lend the caller's pool, or spin one up for the whole search.
-  congest::ShardPool* pool = p.pool;
-  std::unique_ptr<congest::ShardPool> owned_pool;
-  if (p.sim_engine == RwSimEngine::kSharded && pool == nullptr) {
-    owned_pool = std::make_unique<congest::ShardPool>(p.threads);
-    pool = owned_pool.get();
   }
 
   int T = detail::walk_length(arena, phi, f, p);
@@ -517,8 +246,8 @@ inline RwResult gather_random_walks(const ExpanderSplit& sp, int v_star,
   int best_T = T;
   for (int attempt = 1; attempt <= p.max_seed_tries; ++attempt) {
     const std::uint64_t seed = detail::rw_mix(p.base_seed, attempt, 0);
-    const detail::SimOutcome sim = detail::simulate(
-        arena, seed, T, p.laziness, 1.0 - f, p.sim_engine, pool);
+    const detail::SimOutcome sim =
+        detail::simulate(arena, seed, T, p.laziness, 1.0 - f);
     steps_spent += sim.steps;
     out.schedule.seed_tries = attempt;
     if (sim.delivered_fraction > best.delivered_fraction ||
@@ -542,7 +271,6 @@ inline RwResult gather_random_walks(const ExpanderSplit& sp, int v_star,
   out.route = std::move(best.route);
   for (int& r : out.route) r = arena.parent[r];  // local ids -> vertex ids
   out.walk_length = best_T;
-  out.shard_messages = std::move(best.shard_messages);
   out.ledger.charge("walk rounds", best.walk_rounds, best.moves, best.peak_load);
   out.ledger.charge("congestion surplus", best.rounds - best.walk_rounds);
   return out;
@@ -569,14 +297,6 @@ inline std::vector<RwResult> gather_random_walks_shared(
     lengths.push_back(detail::walk_length(arenas.back(), phis.back(), f, p));
   }
 
-  // kSharded: lend the caller's pool, or spin one up for the whole search.
-  congest::ShardPool* pool = p.pool;
-  std::unique_ptr<congest::ShardPool> owned_pool;
-  if (p.sim_engine == RwSimEngine::kSharded && pool == nullptr) {
-    owned_pool = std::make_unique<congest::ShardPool>(p.threads);
-    pool = owned_pool.get();
-  }
-
   std::vector<RwResult> results(sps.size());
   std::vector<detail::SimOutcome> best(sps.size());
   std::uint64_t best_seed = 0;
@@ -587,8 +307,8 @@ inline std::vector<RwResult> gather_random_walks_shared(
     std::vector<detail::SimOutcome> sims(sps.size());
     double min_fraction = 1.0;
     for (std::size_t i = 0; i < sps.size(); ++i) {
-      sims[i] = detail::simulate(arenas[i], seed, lengths[i], p.laziness,
-                                 1.0 - f, p.sim_engine, pool);
+      sims[i] =
+          detail::simulate(arenas[i], seed, lengths[i], p.laziness, 1.0 - f);
       steps_spent += sims[i].steps;
       min_fraction = std::min(min_fraction, sims[i].delivered_fraction);
     }
@@ -611,8 +331,7 @@ inline std::vector<RwResult> gather_random_walks_shared(
     r.schedule.seed = best_seed;
     r.schedule.seed_tries = tries;
     r.schedule.walks = static_cast<int>(arenas[i].start.size());
-    r.schedule.domain_bits = detail::ceil_log2(sps[i]->g.n());
-    r.shard_messages = std::move(best[i].shard_messages);
+    r.schedule.domain_bits = congest::ceil_log2(sps[i]->g.n());
     r.ledger.charge("walk rounds", best[i].walk_rounds, best[i].moves,
                     best[i].peak_load);
     r.ledger.charge("congestion surplus", best[i].rounds - best[i].walk_rounds);

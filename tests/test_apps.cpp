@@ -1,6 +1,6 @@
 // apps/ exact kernels vs brute force on small random graphs, plus known
-// closed-form instances. These are the centralized baselines bench_kernels
-// and the Theorem 1.2 application benches grade against.
+// closed-form instances. These are the centralized baselines the
+// Theorem 1.2 application benches grade against.
 #include <algorithm>
 #include <string>
 #include <utility>

@@ -12,6 +12,8 @@
 //     (cut-matching lower <= exact <= witnessed sweep upper), degenerate
 //     inputs resolve to their documented verdicts, and a tampered
 //     cut-matching certificate is rejected by the replay audit;
+//   * the cut-matching game's replayed alpha equals a resident-matrix
+//     oracle's bit for bit, at any replay block size and thread count;
 //   * the engines' certify mode: every emitted cluster re-certifies, the
 //     certified/estimated split covers the cluster count, and the games'
 //     CONGEST charges keep the ledger auditable.
@@ -68,8 +70,8 @@ Graph small_connected(std::uint64_t seed, int* n_out = nullptr) {
 
 /// Full bit-identity comparison of two game outcomes — verdict, certificate
 /// (including every matched pair and path), sparse-cut witness, and the
-/// CONGEST ledger. This is the dense-vs-implicit equivalence contract: the
-/// engines share every decision path, so nothing may differ.
+/// CONGEST ledger. The replay block size and the pool only trade memory for
+/// parallelism, so nothing may differ across them.
 bool same_outcome(const expander::CutMatchingOutcome& a,
                   const expander::CutMatchingOutcome& b,
                   const std::string& ctx) {
@@ -106,8 +108,26 @@ bool same_outcome(const expander::CutMatchingOutcome& a,
   } else if (a.ledger.entries().size() != b.ledger.entries().size()) {
     ok = false;
   }
-  CHECK_MSG(ok, ctx + ": dense/implicit outcomes diverged");
+  CHECK_MSG(ok, ctx + ": outcomes diverged");
   return ok;
+}
+
+/// Test oracle for the game's alpha: replay the certificate's matchings
+/// through a resident n x n mixing matrix, with the same average_rows call
+/// sequence the game's blocked column replay makes, and scan its minimum.
+double dense_alpha(int n, const expander::CutMatchingCertificate& cert) {
+  const std::size_t row = static_cast<std::size_t>(n);
+  std::vector<double> mix(row * row, 0.0);
+  for (std::size_t v = 0; v < row; ++v) mix[v * row + v] = 1.0;
+  for (const std::vector<expander::MatchedPair>& round : cert.matchings) {
+    for (const expander::MatchedPair& p : round) {
+      expander::detail_cm::average_rows(mix.data() + p.u * row,
+                                        mix.data() + p.v * row, n);
+    }
+  }
+  double mn = 1.0;
+  for (double e : mix) mn = std::min(mn, e);
+  return static_cast<double>(n) * mn;
 }
 
 }  // namespace
@@ -269,27 +289,21 @@ TEST_CASE(fuzz_phi_degenerate) {
 TEST_CASE(fuzz_certificate_replay_rejects_tampering) {
   // Replay semantics: the certificate is only as good as its recorded paths,
   // so every class of tampering must be caught by verify_cut_matching — by
-  // both the serial replay and the pooled blocked replay, and for
-  // certificates produced by either engine.
+  // both the serial replay and the pooled multi-block replay.
   Rng rng(5);
   const Graph g = make_family("grid", 64, rng);
   congest::ShardPool pool(3);
-  for (const auto engine :
-       {expander::CutMatchingEngine::kDense,
-        expander::CutMatchingEngine::kImplicit}) {
-    expander::CutMatchingParams gp;
-    gp.phi_target = 0.05;
-    gp.engine = engine;
-    const bool pooled = engine == expander::CutMatchingEngine::kImplicit;
+  expander::CutMatchingParams gp;
+  gp.phi_target = 0.05;
+  const expander::CutMatchingOutcome out = expander::cut_matching_game(g, gp);
+  CHECK(out.verdict == expander::CutMatchingVerdict::kCertified);
+  for (const bool pooled : {false, true}) {
     expander::VerifyParams vp;
     vp.replay_block = pooled ? 5 : 0;  // force multi-block on the pooled leg
     vp.pool = pooled ? &pool : nullptr;
     const auto verify = [&](const expander::CutMatchingCertificate& c) {
       return expander::verify_cut_matching(g, c, vp);
     };
-    const expander::CutMatchingOutcome out = expander::cut_matching_game(g, gp);
-    CHECK(out.verdict == expander::CutMatchingVerdict::kCertified);
-    CHECK(out.engine_used == engine);
     CHECK(verify(out.cert).ok);
 
     {  // Inflated headline bound.
@@ -323,11 +337,13 @@ TEST_CASE(fuzz_certificate_replay_rejects_tampering) {
 }
 
 TEST_CASE(fuzz_dense_implicit_equivalence) {
-  // The tentpole contract: the implicit-matrix engine (probe bank + blocked
-  // column replay) is a pure re-representation of the dense reference — the
-  // entire outcome must match bit for bit on every family, at a derived and
-  // a pinned target, for any replay block size, with and without a pool.
+  // The game never holds its mixing matrix: alpha comes from a blocked
+  // column replay of the recorded matchings. A resident-matrix replay of the
+  // same certificate is the oracle — its alpha must match bit for bit on
+  // every family, at a derived and a pinned target — and the whole outcome
+  // must be invariant under an awkward replay block size plus a pool.
   congest::ShardPool pool(3);
+  int certified = 0;
   for (const std::string& family : kFamilies) {
     for (int n : {96, 160}) {
       Rng rng(23);
@@ -337,51 +353,42 @@ TEST_CASE(fuzz_dense_implicit_equivalence) {
                                 " target=" + Table::num(target, 2);
         expander::CutMatchingParams gp;
         gp.phi_target = target;
-        gp.engine = expander::CutMatchingEngine::kDense;
-        const expander::CutMatchingOutcome dense =
+        const expander::CutMatchingOutcome out =
             expander::cut_matching_game(g, gp);
-        CHECK_MSG(dense.engine_used == expander::CutMatchingEngine::kDense,
-                  ctx);
-
-        gp.engine = expander::CutMatchingEngine::kImplicit;
-        const expander::CutMatchingOutcome implicit_ =
-            expander::cut_matching_game(g, gp);
-        CHECK_MSG(
-            implicit_.engine_used == expander::CutMatchingEngine::kImplicit,
-            ctx);
-        same_outcome(dense, implicit_, ctx + " [implicit]");
-        // The implicit engine's state high-water must beat the dense n^2.
-        CHECK_MSG(implicit_.state_bytes_peak < dense.state_bytes_peak,
+        // The state high-water must beat a resident matrix's 8 n^2 bytes.
+        CHECK_MSG(out.state_bytes_peak <
+                      8 * static_cast<std::int64_t>(g.n()) * g.n(),
                   ctx + ": state not smaller");
 
-        // An awkward block size that does not divide n, plus a pool: the
-        // replay is block- and thread-invariant by construction.
+        // A block size that does not divide n, plus a pool: the replay is
+        // block- and thread-invariant by construction.
         gp.replay_block = 7;
         gp.pool = &pool;
         const expander::CutMatchingOutcome blocked =
             expander::cut_matching_game(g, gp);
-        same_outcome(dense, blocked, ctx + " [blocked+pooled]");
-        gp.replay_block = 0;
-        gp.pool = nullptr;
+        same_outcome(out, blocked, ctx + " [blocked+pooled]");
 
-        if (dense.verdict == expander::CutMatchingVerdict::kCertified) {
-          // Both serial and pooled verification accept the shared cert.
-          CHECK_MSG(expander::verify_cut_matching(g, dense.cert).ok, ctx);
+        if (out.verdict == expander::CutMatchingVerdict::kCertified) {
+          ++certified;
+          CHECK_MSG(dense_alpha(g.n(), out.cert) == out.cert.alpha,
+                    ctx + ": alpha differs from the resident-matrix oracle");
+          // Both serial and pooled verification accept the certificate.
+          CHECK_MSG(expander::verify_cut_matching(g, out.cert).ok, ctx);
           expander::VerifyParams vp;
           vp.replay_block = 11;
           vp.pool = &pool;
-          CHECK_MSG(expander::verify_cut_matching(g, implicit_.cert, vp).ok,
-                    ctx);
+          CHECK_MSG(expander::verify_cut_matching(g, out.cert, vp).ok, ctx);
         }
       }
     }
   }
+  CHECK_MSG(certified > 0, "no certificate reached the oracle");
 }
 
 TEST_CASE(fuzz_large_cluster_certify) {
-  // A cluster far above the old 1024-vertex cap certifies end to end on the
-  // implicit engine: positive replayed bound, passing pooled verification,
-  // mixing state well under the dense engine's 8 n^2 bytes.
+  // A cluster far above the old 1024-vertex cap certifies end to end:
+  // positive replayed bound, passing pooled verification, mixing state well
+  // under a resident matrix's 8 n^2 bytes.
   Rng rng(7);
   const Graph g = make_family("planar", 700, rng);
   congest::ShardPool pool(3);

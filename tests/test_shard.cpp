@@ -2,15 +2,11 @@
 // every sharded path must produce BIT-IDENTICAL results to its serial
 // reference for every shard count. These cases sweep thread counts
 // {1, 2, 7, hardware_concurrency} over
-//   * the primitives (ShardPlan coverage, ShardPool task completion,
-//     ShardedMeter merge vs a serial MessageMeter fed the same traffic),
+//   * the primitives (ShardPlan coverage, ShardPool task completion),
 //   * heavy-stars contraction on a weighted cluster graph,
 //   * the full Theorem 1.1 local LDD on grid and torus families (clusterings,
-//     cut edges, per-phase ledger entries, and Runtime::audit totals),
-//   * the kSharded walk engine vs the kSerial reference (routes, rounds,
-//     accepted seed, and the merged-meter congestion gate).
-// They also run under ThreadSanitizer in CI — the race gate for the pool and
-// the per-shard meter lanes.
+//     cut edges, per-phase ledger entries, and Runtime::audit totals).
+// They also run under ThreadSanitizer in CI — the race gate for the pool.
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -24,14 +20,11 @@
 #include "decomp/expander_decomp.hpp"
 #include "decomp/heavy_stars.hpp"
 #include "decomp/ldd_local.hpp"
-#include "expander/rw_routing.hpp"
-#include "expander/split.hpp"
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
 #include "graph/weighted.hpp"
 #include "test_main.hpp"
 #include "util/rng.hpp"
-#include "util/table.hpp"
 
 using namespace mfd;
 using namespace mfd::congest;
@@ -112,50 +105,6 @@ TEST_CASE(shard_pool_runs_every_task_once) {
                 "task " + std::to_string(t) + " threads=" +
                     std::to_string(threads));
     }
-  }
-}
-
-TEST_CASE(sharded_meter_merge_matches_serial_meter) {
-  // Drive a serial MessageMeter and a ShardedMeter with identical traffic
-  // (including zero-count queries, which must meter nothing on either) and
-  // compare every merged view per round and at the end.
-  const std::int64_t slots = 100;
-  for (int shards : {1, 2, 7}) {
-    std::vector<std::int64_t> slot_begin;
-    const ShardPlan plan(static_cast<int>(slots), shards);
-    for (int s = 0; s <= shards; ++s) slot_begin.push_back(plan.begin(s));
-    MessageMeter serial(slots);
-    ShardedMeter sharded(slot_begin);
-    CHECK(sharded.shards() == shards);
-    std::uint64_t state = 12345;
-    const auto owner_of = [&](std::int64_t slot) {
-      int s = 0;
-      while (plan.end(s) <= slot) ++s;
-      return s;
-    };
-    for (int round = 0; round < 17; ++round) {
-      for (int i = 0; i < 400; ++i) {
-        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-        const std::int64_t slot =
-            static_cast<std::int64_t>(state >> 33) % slots;
-        const std::int64_t count = static_cast<std::int64_t>(state >> 29) % 4;
-        // count == 0 exercises the no-op query contract under sharding too.
-        const std::int64_t a = serial.send(slot, count);
-        const std::int64_t b = sharded.send(owner_of(slot), slot, count);
-        CHECK(a == b);
-      }
-      CHECK_MSG(serial.round_peak() == sharded.round_peak(),
-                "round " + std::to_string(round) + " shards=" +
-                    std::to_string(shards));
-      serial.end_round();
-      sharded.end_round();
-    }
-    CHECK(serial.total_messages() == sharded.total_messages());
-    CHECK(serial.peak_congestion() == sharded.peak_congestion());
-    CHECK(serial.rounds() == sharded.rounds());
-    std::int64_t lane_sum = 0;
-    for (int s = 0; s < shards; ++s) lane_sum += sharded.shard_messages(s);
-    CHECK(lane_sum == sharded.total_messages());  // the offline merge trail
   }
 }
 
@@ -256,46 +205,6 @@ TEST_CASE(edt_global_chop_sharded_bit_identical) {
       const AuditResult sa = serial.ledger.audit(2 * fam.g.m());
       const AuditResult ha = sharded.ledger.audit(2 * fam.g.m());
       CHECK_MSG(sa.ok && ha.ok, ctx);
-    }
-  }
-}
-
-TEST_CASE(rw_sharded_matches_serial) {
-  const auto run = [](expander::RwSimEngine engine, int threads, int cycle_n,
-                      double f) {
-    Rng rng(17);
-    const expander::ExpanderSplit sp =
-        expander::expander_split(add_apex(cycle_graph(cycle_n)), rng);
-    expander::RwParams p;
-    p.sim_engine = engine;
-    p.threads = threads;
-    return expander::gather_random_walks(sp, cycle_n, f, p);
-  };
-  for (int cycle_n : {24, 257, 2047}) {
-    for (double f : {0.25, 0.05}) {
-      const expander::RwResult serial =
-          run(expander::RwSimEngine::kSerial, 1, cycle_n, f);
-      for (int threads : kThreadSweep) {
-        const expander::RwResult sharded =
-            run(expander::RwSimEngine::kSharded, threads, cycle_n, f);
-        const std::string ctx = "n=" + std::to_string(cycle_n) +
-                                " f=" + Table::num(f, 2) +
-                                " threads=" + std::to_string(threads);
-        CHECK_MSG(serial.delivered_fraction == sharded.delivered_fraction, ctx);
-        CHECK_MSG(serial.rounds == sharded.rounds, ctx);
-        CHECK_MSG(serial.walk_length == sharded.walk_length, ctx);
-        CHECK_MSG(serial.schedule.seed == sharded.schedule.seed, ctx);
-        CHECK_MSG(serial.schedule.seed_tries == sharded.schedule.seed_tries,
-                  ctx);
-        CHECK_MSG(serial.route == sharded.route, ctx);
-        same_charges(serial.ledger, sharded.ledger, ctx);
-        // Merged-meter congestion gate: the sharded engine's per-lane merge
-        // trail must re-derive the serial "walk rounds" phase exactly.
-        CHECK_MSG(!sharded.shard_messages.empty(), ctx);
-        std::int64_t lane_sum = 0;
-        for (std::int64_t m : sharded.shard_messages) lane_sum += m;
-        CHECK_MSG(lane_sum == serial.ledger.entries()[0].messages, ctx);
-      }
     }
   }
 }
