@@ -196,4 +196,35 @@ inline void parallel_chunks(ShardPool& pool, std::int64_t n, std::int64_t grain,
   });
 }
 
+/// parallel_ranges over an optional pool: without one (or with a one-thread
+/// pool) fn(0, n, 0) runs inline — the serial reference path. Tasks are
+/// numbered in [0, threads), so per-task partials sized by the thread count
+/// fold in task order.
+inline void for_ranges(ShardPool* pool, int n,
+                       const std::function<void(int, int, int)>& fn) {
+  if (pool == nullptr || pool->threads() == 1) {
+    if (n > 0) fn(0, n, 0);
+  } else {
+    parallel_ranges(*pool, n, pool->threads(), fn);
+  }
+}
+
+/// Fan-out over n clusters (items of uneven cost) on an optional pool:
+/// fn(lo, hi, worker) runs inline over [0, n) without one; otherwise
+/// workers claim chunks of at most 512 clusters, small enough that every
+/// worker sees about 16 claims, so a handful of huge clusters still spreads
+/// across the pool. Claiming one cluster per task instead puts the pool's
+/// task counter on the hot path.
+inline void for_clusters(ShardPool* pool, int n,
+                         const std::function<void(std::int64_t, std::int64_t,
+                                                  int)>& fn) {
+  if (pool == nullptr) {
+    if (n > 0) fn(0, n, 0);
+    return;
+  }
+  const std::int64_t per =
+      n / (16 * static_cast<std::int64_t>(pool->threads()));
+  parallel_chunks(*pool, n, std::clamp<std::int64_t>(per, 1, 512), fn);
+}
+
 }  // namespace mfd::congest

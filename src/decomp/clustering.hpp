@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "congest/runtime.hpp"
+#include "congest/shard.hpp"
 #include "graph/graph.hpp"
 
 namespace mfd::decomp {
@@ -27,17 +28,22 @@ struct Clustering {
   int k = 0;                 // number of clusters
   std::vector<int> cluster;  // cluster[v] in [0, k)
 
-  /// Relabel arbitrary non-negative ids to a dense [0, k) range.
+  /// Relabel arbitrary non-negative ids to a dense [0, k) range,
+  /// preserving their order: each id becomes its rank among the distinct
+  /// ids present (a presence array over [0, max id] and a prefix sum).
   void compact() {
-    std::vector<int> remap;
-    std::vector<int> sorted(cluster);
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    for (int& c : cluster) {
-      c = static_cast<int>(std::lower_bound(sorted.begin(), sorted.end(), c) -
-                           sorted.begin());
+    int top = -1;
+    for (int c : cluster) top = std::max(top, c);
+    std::vector<int> rank(static_cast<std::size_t>(top) + 1, 0);
+    for (int c : cluster) rank[static_cast<std::size_t>(c)] = 1;
+    int next = 0;
+    for (int& r : rank) {
+      const int present = r;
+      r = next;
+      next += present;
     }
-    k = static_cast<int>(sorted.size());
+    for (int& c : cluster) c = rank[static_cast<std::size_t>(c)];
+    k = next;
   }
 };
 
@@ -116,53 +122,92 @@ inline std::pair<int, int> cluster_ecc(const Graph& g,
 /// — an iterated double sweep plus evenly spread extra sources (a lower
 /// bound within 2x, exact on trees) — so the measurement stays near-linear
 /// even when clusters are large. force_exact runs all-pairs BFS everywhere.
+///
+/// With a pool, vertex ranges (for the cut count) and chunks of clusters
+/// (for the probes) run across its threads. Each worker keeps its own
+/// cache-line-aligned frontier buffers and partial results (cut count, max
+/// diameter, max size, connected flag), folded by sum / max / and. Clusters
+/// are vertex-disjoint, so concurrent probes share one dist array without
+/// racing, and the result equals the serial one for every thread count.
 inline ClusterQuality evaluate_clustering(const Graph& g, const Clustering& c,
-                                          const EvalParams& params = {}) {
-  ClusterQuality q;
-  for (int u = 0; u < g.n(); ++u) {
-    for (int v : g.neighbors(u)) {
-      if (u < v && c.cluster[u] != c.cluster[v]) ++q.cut_edges;
+                                          const EvalParams& params = {},
+                                          congest::ShardPool* pool = nullptr) {
+  const int n = g.n();
+  const int workers = pool != nullptr ? pool->threads() : 1;
+  struct alignas(64) Partial {
+    std::vector<int> frontier, next;
+    std::int64_t cut_edges = 0;
+    int max_diameter = 0;
+    int max_cluster_size = 0;
+    bool connected = true;
+  };
+  std::vector<Partial> part(static_cast<std::size_t>(workers));
+
+  congest::for_ranges(pool, n, [&](int lo, int hi, int task) {
+    std::int64_t cut = 0;
+    for (int u = lo; u < hi; ++u) {
+      for (int v : g.neighbors(u)) {
+        if (u < v && c.cluster[u] != c.cluster[v]) ++cut;
+      }
     }
+    part[static_cast<std::size_t>(task)].cut_edges = cut;
+  });
+
+  // Members grouped by cluster (counting sort, ascending vertex order).
+  std::vector<int> first(static_cast<std::size_t>(c.k) + 1, 0), members(n);
+  for (int v = 0; v < n; ++v) ++first[c.cluster[v] + 1];
+  for (int cl = 0; cl < c.k; ++cl) first[cl + 1] += first[cl];
+  {
+    std::vector<int> at(first.begin(), first.end() - 1);
+    for (int v = 0; v < n; ++v) members[at[c.cluster[v]]++] = v;
+  }
+
+  std::vector<int> dist(n, -1);
+  congest::for_clusters(pool, c.k, [&](std::int64_t lo, std::int64_t hi,
+                                       int worker) {
+    Partial& p = part[static_cast<std::size_t>(worker)];
+    for (int cl = static_cast<int>(lo); cl < hi; ++cl) {
+      const int* verts = members.data() + first[cl];
+      const int size = first[cl + 1] - first[cl];
+      if (size == 0) continue;
+      p.max_cluster_size = std::max(p.max_cluster_size, size);
+      int diam = 0;
+      const auto probe = [&](int src, int* far) {
+        const auto [ecc, reached] = detail::cluster_ecc(
+            g, c.cluster, src, dist, p.frontier, p.next, far);
+        diam = std::max(diam, ecc);
+        if (reached != size) p.connected = false;
+        for (int i = 0; i < size; ++i) dist[verts[i]] = -1;
+      };
+      if (params.force_exact || size <= params.exact_cap) {
+        for (int i = 0; i < size; ++i) probe(verts[i], nullptr);
+      } else {
+        // Alternating double sweep: hop to the farthest vertex found so far.
+        int src = verts[0];
+        for (int sweep = 0; sweep < params.sweeps; ++sweep) {
+          int far = src;
+          probe(src, &far);
+          src = far;
+        }
+        // Evenly spread extra sources guard against sweeps stuck on one limb.
+        const int stride =
+            std::max(1, size / std::max(params.sample_sources, 1));
+        for (int i = stride / 2; i < size; i += stride) probe(verts[i], nullptr);
+      }
+      p.max_diameter = std::max(p.max_diameter, diam);
+    }
+  });
+
+  ClusterQuality q;
+  for (const Partial& p : part) {
+    q.cut_edges += p.cut_edges;
+    q.max_diameter = std::max(q.max_diameter, p.max_diameter);
+    q.max_cluster_size = std::max(q.max_cluster_size, p.max_cluster_size);
+    q.clusters_connected = q.clusters_connected && p.connected;
   }
   q.eps_fraction = g.m() == 0 ? 0.0
                               : static_cast<double>(q.cut_edges) /
                                     static_cast<double>(g.m());
-
-  std::vector<std::vector<int>> members(c.k);
-  for (int v = 0; v < g.n(); ++v) members[c.cluster[v]].push_back(v);
-
-  std::vector<int> dist(g.n(), -1), frontier, next;
-  const auto reset = [&dist](const std::vector<int>& touched) {
-    for (int v : touched) dist[v] = -1;
-  };
-  for (const auto& verts : members) {
-    if (verts.empty()) continue;
-    const int size = static_cast<int>(verts.size());
-    q.max_cluster_size = std::max(q.max_cluster_size, size);
-    int diam = 0;
-    const auto probe = [&](int src, int* far) {
-      const auto [ecc, reached] =
-          detail::cluster_ecc(g, c.cluster, src, dist, frontier, next, far);
-      diam = std::max(diam, ecc);
-      if (reached != size) q.clusters_connected = false;
-      reset(verts);
-    };
-    if (params.force_exact || size <= params.exact_cap) {
-      for (int src : verts) probe(src, nullptr);
-    } else {
-      // Alternating double sweep: hop to the farthest vertex found so far.
-      int src = verts.front();
-      for (int sweep = 0; sweep < params.sweeps; ++sweep) {
-        int far = src;
-        probe(src, &far);
-        src = far;
-      }
-      // Evenly spread extra sources guard against sweeps stuck on one limb.
-      const int stride = std::max(1, size / std::max(params.sample_sources, 1));
-      for (int i = stride / 2; i < size; i += stride) probe(verts[i], nullptr);
-    }
-    q.max_diameter = std::max(q.max_diameter, diam);
-  }
   return q;
 }
 

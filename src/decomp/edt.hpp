@@ -163,7 +163,9 @@ inline EdtDecomposition build_edt_decomposition(const Graph& g, double eps,
     pool = owned_pool.get();
   }
   const int workers = pool != nullptr ? pool->threads() : 1;
-  struct BfsScratch {
+  // One scratch per worker, each on its own cache lines: adjacent vector
+  // headers written by different workers would otherwise false-share.
+  struct alignas(64) BfsScratch {
     std::vector<int> frontier, next;
   };
   std::vector<BfsScratch> scratch(static_cast<std::size_t>(workers));
@@ -176,7 +178,7 @@ inline EdtDecomposition build_edt_decomposition(const Graph& g, double eps,
     }
     // Cluster-local BFS levels (one simulated parallel BFS over all
     // clusters). Measured traffic: the BFS wave crosses each intra-cluster
-    // directed edge once. One pool task per cluster: clusters are
+    // directed edge once. Workers claim clusters in chunks: clusters are
     // vertex-disjoint, so concurrent cluster BFSes share `lev` without
     // racing (a BFS only touches vertices of its own label); per-cluster
     // message counts and depths fold in cluster order, so the sweep is
@@ -211,13 +213,13 @@ inline EdtDecomposition build_edt_decomposition(const Graph& g, double eps,
         bfs_msgs[static_cast<std::size_t>(c)] = msgs;
         depth_of[static_cast<std::size_t>(c)] = depth;
       };
-      if (pool == nullptr || pool->threads() == 1) {
-        for (int c = 0; c < k; ++c) bfs_cluster(c, scratch[0]);
-      } else {
-        pool->run(k, [&](int c, int worker) {
+      const auto bfs_clusters = [&](std::int64_t lo, std::int64_t hi,
+                                    int worker) {
+        for (int c = static_cast<int>(lo); c < hi; ++c) {
           bfs_cluster(c, scratch[static_cast<std::size_t>(worker)]);
-        });
-      }
+        }
+      };
+      congest::for_clusters(pool, k, bfs_clusters);
       for (int c = 0; c < k; ++c) {
         pass_msgs += bfs_msgs[static_cast<std::size_t>(c)];
         max_depth = std::max(max_depth, depth_of[static_cast<std::size_t>(c)]);

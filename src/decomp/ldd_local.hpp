@@ -4,7 +4,7 @@
 // The global chop pays its BFS depth in simulated rounds every pass, which
 // on a √n-diameter grid makes construction cost Θ(√n). This pipeline never
 // runs a global BFS: it starts from singleton clusters and repeatedly
-//   1. builds the weighted cluster graph (edge weight = number of G-edges
+//   1. takes the weighted cluster graph (edge weight = number of G-edges
 //      between two clusters),
 //   2. marks heavy stars on it (Lemma 4.2, >= 1/(8α) of the remaining cut
 //      weight, O(log* n) Cole–Vishkin rounds),
@@ -17,6 +17,12 @@
 // blocks every merge while the budget is unmet, ecc_cap doubles — the
 // escape hatch that guarantees termination on adversarial instances (the
 // bench families never trigger it at the default cap).
+//
+// G is scanned once: the first cluster graph is G itself with unit weights,
+// and every later one is the previous graph contracted in place along the
+// accepted merges (detail::contract_cluster_graph), so no iteration after
+// the first touches G's edge list to rebuild it. The cut weight is the
+// contracted graph's total weight.
 //
 // Rounds charged per iteration: the heavy-stars rounds (pointing +
 // Cole–Vishkin + star formation) plus 2*ecc_cap for the intra-cluster
@@ -35,8 +41,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "congest/runtime.hpp"
@@ -54,9 +60,11 @@ struct LocalLddParams {
   int ecc_cap = 0;
   int max_iterations = 100;  // hard cap; the eps budget normally stops first
   EvalParams eval;           // quality measurement knobs
-  // Sharded per-round engine: > 1 partitions the per-iteration vertex work
-  // (cluster-edge build, heavy-stars phases, relabel sweep, cut recount,
-  // per-cluster designee BFS) across a congest::ShardPool. Results are
+  // Sharded per-round engine: > 1 partitions the per-iteration work (the
+  // in-place cluster-graph contraction, heavy-stars phases, relabel sweep,
+  // per-cluster designee BFS, final evaluate_clustering) across a
+  // congest::ShardPool. G is scanned once for the first cluster graph;
+  // every later one is contracted from its predecessor. Results are
   // bit-identical to threads = 1 — the serial reference — for every thread
   // count; only wall time changes. `pool` lends an existing pool (benches
   // reuse one across runs); otherwise one is created per call when
@@ -76,6 +84,110 @@ struct LocalLdd {
   std::int64_t cut_edges = 0;
 };
 
+namespace detail {
+
+/// G as a cluster graph of singletons: unit weights, G's own CSR.
+inline WeightedGraph unit_cluster_graph(const Graph& g,
+                                        congest::ShardPool* pool) {
+  const int n = g.n();
+  std::vector<std::int64_t> offset(static_cast<std::size_t>(n) + 1, 0);
+  for (int v = 0; v < n; ++v) offset[v + 1] = offset[v] + g.degree(v);
+  std::vector<WeightedGraph::Arc> arcs(static_cast<std::size_t>(offset[n]));
+  congest::for_ranges(pool, n, [&](int lo, int hi, int) {
+    for (int v = lo; v < hi; ++v) {
+      std::int64_t at = offset[v];
+      for (int w : g.neighbors(v)) arcs[at++] = {w, 1};
+    }
+  });
+  return WeightedGraph(std::move(offset), std::move(arcs));
+}
+
+/// Quotient of `cg` by the node map `into` (old node -> new node in
+/// [0, k)): parallel arcs merge by summing their weights, arcs inside one
+/// new node vanish, and each new node's arcs come out sorted by neighbor —
+/// the CSR WeightedGraph(k, edge list) builds from the same edges.
+///
+/// Two passes over one ShardPlan of the new nodes: count each node's
+/// distinct neighbors, prefix-sum the offsets, then write the merged arcs
+/// in place. A per-task stamped marker (stamp + slot per new node) finds a
+/// neighbor's slot in O(1), so a node of degree ~n (an apex) costs O(deg),
+/// not O(deg^2). Every node's arcs depend only on its members, so the
+/// result is the same for every thread count.
+inline WeightedGraph contract_cluster_graph(const WeightedGraph& cg,
+                                            const std::vector<int>& into, int k,
+                                            congest::ShardPool* pool) {
+  const int n = cg.n();
+  // Members of each new node, in ascending old-node order (counting sort).
+  std::vector<int> first(static_cast<std::size_t>(k) + 1, 0), members(n);
+  for (int c = 0; c < n; ++c) ++first[into[c] + 1];
+  for (int t = 0; t < k; ++t) first[t + 1] += first[t];
+  {
+    std::vector<int> at(first.begin(), first.end() - 1);
+    for (int c = 0; c < n; ++c) members[at[into[c]]++] = c;
+  }
+  const int tasks = pool != nullptr ? pool->threads() : 1;
+  struct alignas(64) Marker {
+    std::vector<int> stamp, slot;
+  };
+  std::vector<Marker> markers(static_cast<std::size_t>(tasks));
+  const auto marker = [&](int task) -> Marker& {
+    Marker& mk = markers[static_cast<std::size_t>(task)];
+    if (mk.stamp.empty()) {
+      mk.stamp.assign(static_cast<std::size_t>(k), -1);
+      mk.slot.assign(static_cast<std::size_t>(k), 0);
+    }
+    return mk;
+  };
+
+  std::vector<std::int64_t> offset(static_cast<std::size_t>(k) + 1, 0);
+  congest::for_ranges(pool, k, [&](int lo, int hi, int task) {
+    Marker& mk = marker(task);
+    for (int t = lo; t < hi; ++t) {
+      std::int64_t distinct = 0;
+      for (int i = first[t]; i < first[t + 1]; ++i) {
+        for (const auto& a : cg.arcs(members[i])) {
+          const int to = into[a.to];
+          if (to == t || mk.stamp[to] == t) continue;
+          mk.stamp[to] = t;
+          ++distinct;
+        }
+      }
+      offset[t + 1] = distinct;
+    }
+  });
+  for (int t = 0; t < k; ++t) offset[t + 1] += offset[t];
+
+  std::vector<WeightedGraph::Arc> arcs(static_cast<std::size_t>(offset[k]));
+  congest::for_ranges(pool, k, [&](int lo, int hi, int task) {
+    Marker& mk = marker(task);
+    for (int t = lo; t < hi; ++t) {
+      WeightedGraph::Arc* out = arcs.data() + offset[t];
+      int len = 0;
+      const int stamp = k + t;  // disjoint from the first pass's stamps
+      for (int i = first[t]; i < first[t + 1]; ++i) {
+        for (const auto& a : cg.arcs(members[i])) {
+          const int to = into[a.to];
+          if (to == t) continue;
+          if (mk.stamp[to] != stamp) {
+            mk.stamp[to] = stamp;
+            mk.slot[to] = len;
+            out[len++] = {to, a.w};
+          } else {
+            out[mk.slot[to]].w += a.w;
+          }
+        }
+      }
+      std::sort(out, out + len, [](const WeightedGraph::Arc& x,
+                                   const WeightedGraph::Arc& y) {
+        return x.to < y.to;
+      });
+    }
+  });
+  return WeightedGraph(std::move(offset), std::move(arcs));
+}
+
+}  // namespace detail
+
 inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
                                      LocalLddParams params = {}) {
   LocalLdd out;
@@ -86,8 +198,8 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
   const std::int64_t allowance =
       static_cast<std::int64_t>(eps * static_cast<double>(g.m()));
 
-  // Sharding setup (threads == 1 runs every loop inline — the serial
-  // reference path the equivalence tests compare against).
+  // Sharding setup (no pool runs every loop inline — the serial reference
+  // path the equivalence tests compare against).
   std::unique_ptr<congest::ShardPool> owned_pool;
   congest::ShardPool* pool = params.pool;
   if (pool == nullptr && params.threads != 1) {
@@ -95,62 +207,23 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
     pool = owned_pool.get();
   }
   const int tasks = pool != nullptr ? pool->threads() : 1;
-  const auto for_ranges = [&](const std::function<void(int, int, int)>& fn) {
-    if (pool == nullptr || pool->threads() == 1) {
-      if (n > 0) fn(0, n, 0);
-    } else {
-      congest::parallel_ranges(*pool, n, tasks, fn);
-    }
-  };
 
-  // Per cluster (indexed by its label): a designated center vertex and that
-  // center's exact eccentricity inside the cluster. The guard reasons about
-  // distances from the center, so diameter <= 2 * ecc_est always holds.
-  std::vector<int> label(n), designee(n), ecc_est(n, 0);
-  for (int v = 0; v < n; ++v) label[v] = designee[v] = v;
-  std::int64_t cut = g.m();
+  // The cluster graph carried across iterations. Node c is one cluster;
+  // nodes are numbered in order of their smallest vertex. node_of[v] is v's
+  // node, rep[c] the cluster's label — its designated center vertex — and
+  // ecc[c] that center's exact eccentricity inside the cluster. The guard
+  // reasons about distances from the center, so diameter <= 2 * ecc always
+  // holds.
+  WeightedGraph cg = detail::unit_cluster_graph(g, pool);
+  std::vector<int> node_of(n), rep(n), ecc(n, 0);
+  std::iota(node_of.begin(), node_of.end(), 0);
+  std::iota(rep.begin(), rep.end(), 0);
+  std::int64_t cut = cg.total_weight();
 
-  std::vector<int> compact(n, -1), rep;    // cluster ids -> dense [0, k)
-  std::vector<int> order, head, next_in;   // marked-tree children buckets
+  std::vector<int> order, head, next_in;  // marked-tree children buckets
   std::vector<int> dist(n, -1);  // shared BFS scratch (clusters are disjoint)
   while (cut > allowance && out.iterations < params.max_iterations) {
-    // Dense cluster ids for this iteration.
-    std::fill(compact.begin(), compact.end(), -1);
-    rep.clear();
-    for (int v = 0; v < n; ++v) {
-      if (compact[label[v]] < 0) {
-        compact[label[v]] = static_cast<int>(rep.size());
-        rep.push_back(label[v]);
-      }
-    }
-    const int k = static_cast<int>(rep.size());
-    // Cut-edge scan, sharded by source vertex: per-task runs concatenated in
-    // task order reproduce the serial emission order exactly (tasks cover
-    // ascending contiguous u ranges), so the WeightedGraph — and everything
-    // downstream — is bit-identical for every thread count.
-    std::vector<std::vector<WeightedEdge>> cedges_by_task(
-        static_cast<std::size_t>(tasks));
-    for_ranges([&](int lo, int hi, int task) {
-      std::vector<WeightedEdge>& ces =
-          cedges_by_task[static_cast<std::size_t>(task)];
-      for (int u = lo; u < hi; ++u) {
-        for (int v : g.neighbors(u)) {
-          if (u < v && label[u] != label[v]) {
-            ces.push_back({compact[label[u]], compact[label[v]], 1});
-          }
-        }
-      }
-    });
-    std::vector<WeightedEdge> cedges;
-    {
-      std::size_t total = 0;
-      for (const auto& ces : cedges_by_task) total += ces.size();
-      cedges.reserve(total);
-      for (auto& ces : cedges_by_task) {
-        cedges.insert(cedges.end(), ces.begin(), ces.end());
-      }
-    }
-    const WeightedGraph cg(k, std::move(cedges));
+    const int k = cg.n();
     const HeavyStarsResult hs = heavy_stars(cg, pool);
     ++out.iterations;
     out.cv_rounds_total += hs.cv_rounds;
@@ -185,10 +258,10 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
       const int c = order[i];
       if (hs.kept_parent[c] < 0) {
         accepted[c] = 1;
-        bound[c] = ecc_est[rep[c]];
+        bound[c] = ecc[c];
       }
       for (int child = head[c]; child >= 0; child = next_in[child]) {
-        const int b = bound[c] + 1 + 2 * ecc_est[rep[child]];
+        const int b = bound[c] + 1 + 2 * ecc[child];
         if (accepted[c] && b <= cap) {
           accepted[child] = 1;
           bound[child] = b;
@@ -208,7 +281,7 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
       continue;
     }
 
-    // Apply: accepted clusters adopt their tree root's label (and its
+    // Apply: accepted clusters adopt their tree root's label (and so its
     // designated center), then every cluster re-measures its center's exact
     // eccentricity with one intra-cluster BFS — the 2*max_ecc charge above
     // pays for this sweep, and the exact value keeps the guard from
@@ -218,107 +291,100 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
       const int p = hs.kept_parent[c];
       new_root[c] = (p >= 0 && accepted[c]) ? new_root[p] : c;
     }
+    // Merged clusters are numbered by first appearance in node order. Nodes
+    // are ordered by smallest vertex, so the first member of a merged
+    // cluster holds its smallest vertex and the new numbering is again by
+    // smallest vertex.
+    std::vector<int> into(k, -1), next_rep;
+    for (int c = 0; c < k; ++c) {
+      const int r = new_root[c];
+      if (into[r] < 0) {
+        into[r] = static_cast<int>(next_rep.size());
+        next_rep.push_back(rep[r]);
+      }
+      into[c] = into[r];
+    }
+    const int nk = static_cast<int>(next_rep.size());
     // Measured sweep traffic: every relabeled vertex announces its new label
     // to all neighbors (one O(log n)-bit message per incident directed
     // edge), then the designee BFS wave crosses each intra-cluster directed
     // edge once and the eccentricity converges back along the BFS tree.
-    // Relabel + cut recount shard by vertex (label[v] reads/writes are
-    // per-vertex; the recount runs after the relabel barrier); sums fold in
-    // task order — integer addition, so totals are sharding-invariant.
+    // The relabel shards by vertex (node_of[v] reads/writes are
+    // per-vertex); sums fold in task order — integer addition, so totals
+    // are sharding-invariant. A vertex's label changes exactly when its
+    // cluster merged into another tree root's.
     std::int64_t sweep_msgs = 0;
     {
       std::vector<std::int64_t> msgs(static_cast<std::size_t>(tasks), 0);
-      for_ranges([&](int lo, int hi, int task) {
+      congest::for_ranges(pool, n, [&](int lo, int hi, int task) {
         std::int64_t local = 0;
         for (int v = lo; v < hi; ++v) {
-          const int nl = rep[new_root[compact[label[v]]]];
-          if (nl != label[v]) local += g.degree(v);
-          label[v] = nl;
+          const int c = node_of[v];
+          if (new_root[c] != c) local += g.degree(v);
+          node_of[v] = into[c];
         }
         msgs[static_cast<std::size_t>(task)] = local;
       });
       for (std::int64_t m2 : msgs) sweep_msgs += m2;
     }
-    cut = 0;
-    {
-      std::vector<std::int64_t> cuts(static_cast<std::size_t>(tasks), 0);
-      for_ranges([&](int lo, int hi, int task) {
-        std::int64_t local = 0;
-        for (int u = lo; u < hi; ++u) {
-          for (int v : g.neighbors(u)) {
-            if (u < v && label[u] != label[v]) ++local;
-          }
-        }
-        cuts[static_cast<std::size_t>(task)] = local;
-      });
-      for (std::int64_t c2 : cuts) cut += c2;
-    }
+    cg = detail::contract_cluster_graph(cg, into, nk, pool);
+    rep = std::move(next_rep);
+    cut = cg.total_weight();
     // One BFS per cluster from its designee. Clusters are vertex-disjoint,
     // so concurrent cluster BFSes share the dist array without racing: a
-    // BFS only touches dist[w2] when label[w2] == its own cluster root, and
-    // resets its touched entries to -1 before finishing. Each cluster is
-    // one pool task (dynamic claiming balances the skewed late-iteration
-    // cluster sizes); per-cluster message counts and eccentricities fold in
-    // root order, identical to the serial sweep.
+    // BFS only touches dist[w2] when node_of[w2] is its own cluster, and
+    // resets its touched entries to -1 before finishing. Clusters are
+    // claimed in chunks (dynamic claiming balances the skewed
+    // late-iteration cluster sizes), each worker owns a cache-line-aligned
+    // scratch, and per-cluster message counts and eccentricities fold in
+    // cluster order, identical to the serial sweep.
     int max_ecc = 1;
     {
-      std::vector<int> roots;
-      for (int v = 0; v < n; ++v) {
-        if (label[v] == v) roots.push_back(v);
-      }
-      const int workers = pool != nullptr ? pool->threads() : 1;
-      struct Scratch {
+      struct alignas(64) Scratch {
         std::vector<int> frontier, nxt, touched;
       };
-      std::vector<Scratch> scratch(static_cast<std::size_t>(workers));
-      std::vector<std::int64_t> bfs_msgs(roots.size(), 0);
-      std::vector<int> ecc_of(roots.size(), 0);
-      const auto bfs_cluster = [&](std::size_t idx, Scratch& sc,
-                                   std::vector<int>& dist_arr) {
-        const int v = roots[idx];
-        const int src = designee[v];
-        dist_arr[src] = 0;
-        sc.frontier.assign(1, src);
-        sc.touched.assign(1, src);
-        int ecc = 0;
-        std::int64_t msgs = 0;
-        while (!sc.frontier.empty()) {
-          sc.nxt.clear();
-          for (int u : sc.frontier) {
-            for (int w2 : g.neighbors(u)) {
-              if (label[w2] != v) continue;
-              ++msgs;  // the BFS wave crosses directed edge (u, w2) once
-              if (dist_arr[w2] < 0) {
-                dist_arr[w2] = dist_arr[u] + 1;
-                ecc = dist_arr[w2];
-                sc.nxt.push_back(w2);
-                sc.touched.push_back(w2);
+      std::vector<Scratch> scratch(static_cast<std::size_t>(tasks));
+      std::vector<std::int64_t> bfs_msgs(static_cast<std::size_t>(nk), 0);
+      std::vector<int> ecc_of(static_cast<std::size_t>(nk), 0);
+      const auto bfs_clusters = [&](std::int64_t lo, std::int64_t hi,
+                                    int worker) {
+        Scratch& sc = scratch[static_cast<std::size_t>(worker)];
+        for (int c = static_cast<int>(lo); c < hi; ++c) {
+          const int src = rep[c];
+          dist[src] = 0;
+          sc.frontier.assign(1, src);
+          sc.touched.assign(1, src);
+          int e = 0;
+          std::int64_t msgs = 0;
+          while (!sc.frontier.empty()) {
+            sc.nxt.clear();
+            for (int u : sc.frontier) {
+              for (int w2 : g.neighbors(u)) {
+                if (node_of[w2] != c) continue;
+                ++msgs;  // the BFS wave crosses directed edge (u, w2) once
+                if (dist[w2] < 0) {
+                  dist[w2] = dist[u] + 1;
+                  e = dist[w2];
+                  sc.nxt.push_back(w2);
+                  sc.touched.push_back(w2);
+                }
               }
             }
+            std::swap(sc.frontier, sc.nxt);
           }
-          std::swap(sc.frontier, sc.nxt);
+          // Convergecast of the measured eccentricity along the BFS tree.
+          msgs += static_cast<std::int64_t>(sc.touched.size()) - 1;
+          for (int u : sc.touched) dist[u] = -1;
+          ecc_of[static_cast<std::size_t>(c)] = e;
+          bfs_msgs[static_cast<std::size_t>(c)] = msgs;
         }
-        // Convergecast of the measured eccentricity along the BFS tree.
-        msgs += static_cast<std::int64_t>(sc.touched.size()) - 1;
-        for (int u : sc.touched) dist_arr[u] = -1;
-        ecc_of[idx] = ecc;
-        bfs_msgs[idx] = msgs;
       };
-      if (pool == nullptr || pool->threads() == 1) {
-        for (std::size_t i = 0; i < roots.size(); ++i) {
-          bfs_cluster(i, scratch[0], dist);
-        }
-      } else {
-        pool->run(static_cast<int>(roots.size()), [&](int t, int worker) {
-          bfs_cluster(static_cast<std::size_t>(t),
-                      scratch[static_cast<std::size_t>(worker)], dist);
-        });
+      congest::for_clusters(pool, nk, bfs_clusters);
+      for (int c = 0; c < nk; ++c) {
+        max_ecc = std::max(max_ecc, ecc_of[static_cast<std::size_t>(c)]);
+        sweep_msgs += bfs_msgs[static_cast<std::size_t>(c)];
       }
-      for (std::size_t i = 0; i < roots.size(); ++i) {
-        ecc_est[roots[i]] = ecc_of[i];
-        max_ecc = std::max(max_ecc, ecc_of[i]);
-        sweep_msgs += bfs_msgs[i];
-      }
+      ecc = std::move(ecc_of);
     }
     // A CONGEST node of the cluster graph is a whole cluster: acting as one
     // (electing the pick, spreading the color, re-measuring the center's
@@ -332,10 +398,11 @@ inline LocalLdd ldd_minor_free_local(const Graph& g, double eps,
 
   out.ecc_cap_final = cap;
   out.cut_edges = cut;
-  out.clustering.cluster = std::move(label);
+  out.clustering.cluster.resize(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) out.clustering.cluster[v] = rep[node_of[v]];
   out.clustering.k = n;
   out.clustering.compact();
-  out.quality = evaluate_clustering(g, out.clustering, params.eval);
+  out.quality = evaluate_clustering(g, out.clustering, params.eval, pool);
   return out;
 }
 

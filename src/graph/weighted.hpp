@@ -4,7 +4,9 @@
 // out-of-range endpoints are dropped — except duplicate edges MERGE BY
 // SUMMING their weights: a cluster graph's edge weight is the number (or
 // total weight) of original edges between two clusters, so careless emission
-// of one entry per original edge is the intended usage.
+// of one entry per original edge is the intended usage. The contraction loop
+// in decomp/ldd_local.hpp skips the edge list and hands over a finished CSR
+// (offsets plus neighbor-sorted arcs) instead.
 #pragma once
 
 #include <algorithm>
@@ -32,38 +34,53 @@ class WeightedGraph {
     std::sort(edges.begin(), edges.end(), [](const auto& a, const auto& b) {
       return a.u != b.u ? a.u < b.u : a.v < b.v;
     });
-    // Merge duplicates by summing, drop self-loops / out-of-range.
+    // Merge duplicates by summing, drop self-loops / out-of-range (in place:
+    // the write cursor never passes the read cursor).
+    std::size_t kept = 0;
     for (const auto& e : edges) {
       if (e.u == e.v || e.u < 0 || e.v >= n_) continue;
-      if (!edges_.empty() && edges_.back().u == e.u && edges_.back().v == e.v) {
-        edges_.back().w += e.w;
+      if (kept > 0 && edges[kept - 1].u == e.u && edges[kept - 1].v == e.v) {
+        edges[kept - 1].w += e.w;
       } else {
-        edges_.push_back(e);
+        edges[kept++] = e;
       }
     }
+    edges.resize(kept);
     offset_.assign(n_ + 1, 0);
-    for (const auto& e : edges_) {
+    for (const auto& e : edges) {
       ++offset_[e.u + 1];
       ++offset_[e.v + 1];
     }
     for (int i = 0; i < n_; ++i) offset_[i + 1] += offset_[i];
-    arcs_.resize(2 * edges_.size());
+    arcs_.resize(2 * edges.size());
     std::vector<std::int64_t> cursor(offset_.begin(), offset_.end() - 1);
-    for (const auto& e : edges_) {
+    for (const auto& e : edges) {
       arcs_[cursor[e.u]++] = {e.v, e.w};
       arcs_[cursor[e.v]++] = {e.u, e.w};
       total_weight_ += e.w;
     }
   }
 
-  int n() const { return n_; }
-  std::int64_t m() const { return static_cast<std::int64_t>(edges_.size()); }
-  std::int64_t total_weight() const { return total_weight_; }
-
   struct Arc {
     int to;
     std::int64_t w;
   };
+
+  /// Adopt a ready CSR: offset has n + 1 entries, and arcs[offset[v],
+  /// offset[v + 1]) lists v's neighbors in ascending order, each undirected
+  /// edge once from either side with the same weight and no self-loops.
+  /// That is exactly the layout the edge-list constructor produces.
+  WeightedGraph(std::vector<std::int64_t> offset, std::vector<Arc> arcs)
+      : n_(static_cast<int>(offset.size()) - 1),
+        offset_(std::move(offset)),
+        arcs_(std::move(arcs)) {
+    for (const Arc& a : arcs_) total_weight_ += a.w;
+    total_weight_ /= 2;
+  }
+
+  int n() const { return n_; }
+  std::int64_t m() const { return static_cast<std::int64_t>(arcs_.size() / 2); }
+  std::int64_t total_weight() const { return total_weight_; }
 
   struct ArcRange {
     const Arc* first;
@@ -81,13 +98,9 @@ class WeightedGraph {
     return static_cast<int>(offset_[v + 1] - offset_[v]);
   }
 
-  /// Canonical merged edge list (u < v, sorted).
-  const std::vector<WeightedEdge>& edges() const { return edges_; }
-
  private:
   int n_ = 0;
   std::int64_t total_weight_ = 0;
-  std::vector<WeightedEdge> edges_;
   std::vector<std::int64_t> offset_;
   std::vector<Arc> arcs_;
 };

@@ -119,6 +119,20 @@ TEST_CASE(clustering_compact) {
   c.compact();
   CHECK(c.k == 3);
   CHECK((c.cluster == std::vector<int>{1, 2, 1, 0, 2}));
+
+  // Sparse large ids keep their order; duplicates share a rank.
+  Clustering sparse;
+  sparse.cluster = {1000000, 3, 3, 7};
+  sparse.k = 1000001;
+  sparse.compact();
+  CHECK(sparse.k == 3);
+  CHECK((sparse.cluster == std::vector<int>{2, 0, 0, 1}));
+
+  Clustering empty;
+  empty.k = 4;
+  empty.compact();
+  CHECK(empty.k == 0);
+  CHECK(empty.cluster.empty());
 }
 
 TEST_CASE(edt_grid) { run_edt("grid"); }

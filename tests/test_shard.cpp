@@ -5,7 +5,9 @@
 //   * the primitives (ShardPlan coverage, ShardPool task completion),
 //   * heavy-stars contraction on a weighted cluster graph,
 //   * the full Theorem 1.1 local LDD on grid and torus families (clusterings,
-//     cut edges, per-phase ledger entries, and Runtime::audit totals).
+//     cut edges, per-phase ledger entries, and Runtime::audit totals),
+//   * evaluate_clustering's pooled probes (exact, sampled and force_exact
+//     paths, including a deliberately disconnected cluster).
 // They also run under ThreadSanitizer in CI — the race gate for the pool.
 #include <atomic>
 #include <cstdint>
@@ -163,8 +165,8 @@ TEST_CASE(ldd_sharded_bit_identical_grid_torus) {
 }
 
 TEST_CASE(edt_global_chop_sharded_bit_identical) {
-  // The kGlobalBfs chop's per-pass BFS-wave sweep fans one task per cluster
-  // over the pool (ROADMAP item (b), first half). Clusterings, pass counts,
+  // The kGlobalBfs chop's per-pass BFS-wave sweep claims clusters in chunks
+  // over the pool. Clusterings, pass counts,
   // merges, every ledger charge and the audit totals must match the serial
   // reference bit for bit at every thread count.
   struct Family {
@@ -205,6 +207,74 @@ TEST_CASE(edt_global_chop_sharded_bit_identical) {
       const AuditResult sa = serial.ledger.audit(2 * fam.g.m());
       const AuditResult ha = sharded.ledger.audit(2 * fam.g.m());
       CHECK_MSG(sa.ok && ha.ok, ctx);
+    }
+  }
+}
+
+namespace {
+
+// Square blocks of side `side` on a rows x cols grid, one cluster each.
+decomp::Clustering grid_blocks(int rows, int cols, int side) {
+  decomp::Clustering c;
+  const int per_row = (cols + side - 1) / side;
+  for (int r = 0; r < rows; ++r) {
+    for (int col = 0; col < cols; ++col) {
+      c.cluster.push_back((r / side) * per_row + col / side);
+    }
+  }
+  c.k = per_row * ((rows + side - 1) / side);
+  c.compact();
+  return c;
+}
+
+}  // namespace
+
+TEST_CASE(evaluate_clustering_pooled_bit_identical) {
+  // Pooled evaluate_clustering claims clusters in chunks and folds
+  // per-worker partials; every field must equal the serial measurement on
+  // the exact path, the sampled path and force_exact.
+  struct Input {
+    const char* name;
+    Graph g;
+    decomp::Clustering c;
+    bool connected;
+  };
+  const Graph torus = torus_graph(40, 40);
+  // Blocks (0, 0) and (2, 2) of a 5x5-block grid share one id: that cluster
+  // is disconnected, and every path must say so.
+  decomp::Clustering split = grid_blocks(30, 30, 5);
+  for (int& id : split.cluster) {
+    if (id == 2 * 6 + 2) id = 0;
+  }
+  split.compact();
+  const Input inputs[] = {
+      {"grid blocks 6", grid_graph(60, 60), grid_blocks(60, 60, 6), true},
+      {"grid blocks 20", grid_graph(60, 60), grid_blocks(60, 60, 20), true},
+      {"torus ldd", torus,
+       decomp::ldd_minor_free_local(torus, 0.3).clustering, true},
+      {"grid split block", grid_graph(30, 30), split, false}};
+  for (const Input& in : inputs) {
+    for (int mode = 0; mode < 3; ++mode) {
+      decomp::EvalParams ep;
+      if (mode == 1) ep.exact_cap = 8;  // sample every cluster above 8
+      if (mode == 2) ep.force_exact = true;
+      const decomp::ClusterQuality serial =
+          decomp::evaluate_clustering(in.g, in.c, ep);
+      const std::string base =
+          std::string(in.name) + " mode=" + std::to_string(mode);
+      CHECK_MSG(serial.clusters_connected == in.connected, base);
+      for (int threads : kThreadSweep) {
+        ShardPool pool(threads);
+        const decomp::ClusterQuality pooled =
+            decomp::evaluate_clustering(in.g, in.c, ep, &pool);
+        const std::string ctx =
+            base + " threads=" + std::to_string(pool.threads());
+        CHECK_MSG(pooled.eps_fraction == serial.eps_fraction, ctx);
+        CHECK_MSG(pooled.cut_edges == serial.cut_edges, ctx);
+        CHECK_MSG(pooled.max_diameter == serial.max_diameter, ctx);
+        CHECK_MSG(pooled.max_cluster_size == serial.max_cluster_size, ctx);
+        CHECK_MSG(pooled.clusters_connected == serial.clusters_connected, ctx);
+      }
     }
   }
 }
