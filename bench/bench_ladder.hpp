@@ -34,7 +34,8 @@ inline std::string tier_cell(const congest::SolverStats& s) {
 
 /// The ladder audit trail as JSON metrics (one representative run per
 /// bench): per-tier cluster counts, the DP-width high-water mark, exact
-/// search effort, and the summed per-cluster solver wall time.
+/// search effort, and the summed per-cluster solver wall time (in total and
+/// in the clusters where a search ran).
 inline void ladder_metrics(BenchJson& json, const congest::SolverStats& s) {
   json.metric("clusters", s.clusters);
   json.metric("tier_forest", s.tier_forest);
@@ -46,6 +47,7 @@ inline void ladder_metrics(BenchJson& json, const congest::SolverStats& s) {
   json.metric("bb_nodes", s.bb_nodes);
   json.metric("bb_exact_runs", s.bb_exact_runs);
   json.metric("solve_ms", s.solve_ms);
+  json.metric("bb_ms", s.bb_ms);
 }
 
 }  // namespace mfd::bench

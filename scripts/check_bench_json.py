@@ -307,6 +307,16 @@ def check_ladder(path, doc):
     if not isinstance(solve_ms, NUM) or isinstance(solve_ms, bool) or \
             solve_ms < 0:
         return fail(path, f"{bench}: metrics.solve_ms invalid ({solve_ms!r})")
+    # bb_ms: solve_ms of the clusters a search ran in (bb_ms / bb_nodes is
+    # the per-node cost); no search, no time.
+    bb_ms = metrics.get("bb_ms")
+    if not isinstance(bb_ms, NUM) or isinstance(bb_ms, bool) or bb_ms < 0:
+        return fail(path, f"{bench}: metrics.bb_ms invalid ({bb_ms!r})")
+    if effort["bb_runs"] == 0 and bb_ms != 0:
+        return fail(path, f"{bench}: bb_ms={bb_ms} without a search")
+    if bb_ms > solve_ms * (1 + 1e-9):
+        return fail(path, f"{bench}: bb_ms={bb_ms} exceeds solve_ms="
+                          f"{solve_ms}")
     # Exact coverage floors. The mis / matching_vc / maxcut representatives
     # (planar, outerplanar, grid) are chosen so the width gate certifies at
     # least one cluster; mds gates its dedicated showcase below instead.

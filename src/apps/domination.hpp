@@ -16,10 +16,14 @@
 // tw_cap; branch-and-bound — candidate branching on a fewest-dominator
 // white vertex with a greedy 2-packing lower bound (closed neighborhoods of
 // a 2-packing are disjoint, so any dominating set spends one vertex per
-// packed vertex) — inside a node budget; greedy plus redundancy pruning
-// when the budget blows. Per-tier cluster counts and B&B effort land in
-// congest::SolverStats. min_dominating_set (the exact baseline) runs the
-// same B&B with an unbounded budget.
+// packed vertex) — inside a node budget. The search starts from the
+// greedy-plus-redundancy-pruning set, so when the budget blows it returns
+// the best set found, never worse than greedy's. A B&B node costs
+// O(white vertices + their degrees), not O(cluster), with the search order
+// unchanged from the whole-graph-scan reference kept in tests/test_fuzz.cpp.
+// Per-tier cluster counts and B&B effort land in congest::SolverStats.
+// min_dominating_set (the exact baseline) runs the same B&B with an
+// unbounded budget.
 #pragma once
 
 #include <algorithm>
@@ -208,8 +212,16 @@ inline void prune_redundant(const Graph& g, std::vector<int>& set) {
 }
 
 /// Branch and bound for exact MDS. Branches over the candidate dominators
-/// of a fewest-candidates white vertex; prunes with a greedy 2-packing
-/// lower bound. node_budget < 0 means unlimited (the exact baseline).
+/// of a fewest-candidates white vertex (the first in id order), in
+/// coverage-descending, id-ascending order; prunes with a greedy 2-packing
+/// lower bound. node_budget < 0 means unlimited (the exact baseline), and
+/// then nodes() stays 0.
+///
+/// A node costs O(white vertices + their degrees), not O(n): the white set
+/// is a bitset walked in id order, the packing bound stops once it proves
+/// the prune and clears only the marks it set, the pivot scan stops at a
+/// zero-candidate vertex, and candidates / newly dominated vertices live on
+/// member stacks, so no node allocates once the stacks have grown.
 class MdsBranch {
  public:
   MdsBranch(const Graph& g, std::int64_t node_budget)
@@ -218,7 +230,11 @@ class MdsBranch {
         white_(g.n()),
         dominated_(n_, 0),
         banned_(n_, 0),
-        budget_(node_budget) {}
+        pack_mark_(n_, 0),
+        white_bits_((n_ + 63) / 64, ~std::uint64_t{0}),
+        budget_(node_budget) {
+    if (n_ % 64 != 0) white_bits_.back() = (std::uint64_t{1} << n_ % 64) - 1;
+  }
 
   /// Runs the search; exact() reports whether the budget survived.
   std::vector<int> solve() {
@@ -239,30 +255,55 @@ class MdsBranch {
     return c;
   }
 
+  /// Calls f(v) for every white vertex in increasing id order until f
+  /// returns false.
+  template <typename F>
+  void for_white(F&& f) const {
+    for (std::size_t word = 0; word < white_bits_.size(); ++word) {
+      for (std::uint64_t bits = white_bits_[word]; bits != 0;
+           bits &= bits - 1) {
+        if (!f(static_cast<int>(word * 64) + __builtin_ctzll(bits))) return;
+      }
+    }
+  }
+
+  void set_dominated(int v) {
+    dominated_[v] = 1;
+    white_bits_[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
+    --white_;
+  }
+
+  void set_white(int v) {
+    dominated_[v] = 0;
+    white_bits_[v >> 6] |= std::uint64_t{1} << (v & 63);
+    ++white_;
+  }
+
   /// Greedy 2-packing of white vertices: closed neighborhoods of packed
   /// vertices are disjoint, and every dominating set spends a distinct
   /// vertex per packed vertex — a lower bound on what remains to pay.
-  int packing_bound() {
-    pack_mark_.assign(n_, 0);
+  /// Stops once the bound reaches `room` (the node is pruned either way).
+  int packing_bound(int room) {
     int packed = 0;
-    for (int v = 0; v < n_; ++v) {
-      if (dominated_[v]) continue;
-      bool free = !pack_mark_[v];
-      if (free) {
-        for (int w : g_.neighbors(v)) {
-          if (pack_mark_[w]) {
-            free = false;
-            break;
-          }
-        }
+    for_white([&](int v) {
+      if (packed >= room) return false;
+      if (pack_mark_[v]) return true;
+      for (int w : g_.neighbors(v)) {
+        if (pack_mark_[w]) return true;
       }
-      if (!free) continue;
       ++packed;
       // Block everything within distance 2 (mark the closed neighborhood;
       // a later candidate checks its own closed neighborhood against it).
       pack_mark_[v] = 1;
       for (int w : g_.neighbors(v)) pack_mark_[w] = 1;
+      packed_.push_back(v);
+      return true;
+    });
+    for (int v : packed_) {
+      pack_mark_[v] = 0;
+      for (int w : g_.neighbors(v)) pack_mark_[w] = 0;
     }
+    packed_.clear();
     return packed;
   }
 
@@ -272,45 +313,51 @@ class MdsBranch {
       exact_ = false;
       return;
     }
-    if (static_cast<int>(chosen.size()) +
-            (white_ > 0 ? packing_bound() : 0) >=
-        static_cast<int>(best_.size())) {
-      return;
-    }
-    // Fewest-candidates white vertex.
-    int pivot = -1, pivot_cands = n_ + 1;
-    for (int v = 0; v < n_; ++v) {
-      if (dominated_[v]) continue;
-      int cands = banned_[v] ? 0 : 1;
-      for (int w : g_.neighbors(v)) cands += banned_[w] ? 0 : 1;
-      if (cands < pivot_cands) {
-        pivot = v;
-        pivot_cands = cands;
-      }
-    }
-    if (pivot < 0) {  // everything dominated: chosen is a full solution
+    const int room =
+        static_cast<int>(best_.size()) - static_cast<int>(chosen.size());
+    if ((white_ > 0 ? packing_bound(room) : 0) >= room) return;
+    if (white_ == 0) {  // everything dominated: chosen is a full solution
       best_ = chosen;
       std::sort(best_.begin(), best_.end());
       return;
     }
-    if (pivot_cands == 0) return;  // infeasible branch
-    std::vector<int> cands;
-    if (!banned_[pivot]) cands.push_back(pivot);
-    for (int w : g_.neighbors(pivot)) {
-      if (!banned_[w]) cands.push_back(w);
-    }
-    std::sort(cands.begin(), cands.end(), [this](int a, int b) {
-      const int ca = coverage(a), cb = coverage(b);
-      return ca != cb ? ca > cb : a < b;
+    // Fewest-candidates white vertex, first in id order. Counting stops
+    // once it ties the best so far; a 0-candidate vertex ends the scan.
+    int pivot = -1, pivot_cands = n_ + 1;
+    for_white([&](int v) {
+      int cands = banned_[v] ? 0 : 1;
+      for (int w : g_.neighbors(v)) {
+        if (cands >= pivot_cands) break;
+        cands += banned_[w] ? 0 : 1;
+      }
+      if (cands < pivot_cands) {
+        pivot = v;
+        pivot_cands = cands;
+      }
+      return pivot_cands > 0;
     });
-    std::vector<int> newly_banned;
-    for (int u : cands) {
-      std::vector<int> newly_dominated;
+    if (pivot_cands == 0) return;  // infeasible branch
+    // Candidates as (coverage descending, id ascending) sort keys.
+    const std::size_t base = cands_.size();
+    const auto push_cand = [&](int u) {
+      if (banned_[u]) return;
+      cands_.push_back(
+          static_cast<std::uint64_t>(n_ + 1 - coverage(u)) << 32 |
+          static_cast<std::uint32_t>(u));
+    };
+    push_cand(pivot);
+    for (int w : g_.neighbors(pivot)) push_cand(w);
+    std::sort(cands_.begin() + static_cast<std::ptrdiff_t>(base),
+              cands_.end());
+    const std::size_t end = cands_.size();
+    std::size_t tried = base;
+    while (tried < end) {
+      const int u = static_cast<int>(cands_[tried++] & 0xffffffffu);
+      const std::size_t marked = newly_dominated_.size();
       const auto mark = [&](int x) {
         if (!dominated_[x]) {
-          dominated_[x] = 1;
-          --white_;
-          newly_dominated.push_back(x);
+          set_dominated(x);
+          newly_dominated_.push_back(x);
         }
       };
       mark(u);
@@ -318,28 +365,38 @@ class MdsBranch {
       chosen.push_back(u);
       descend(chosen);
       chosen.pop_back();
-      for (int x : newly_dominated) dominated_[x] = 0;
-      white_ += static_cast<int>(newly_dominated.size());
+      for (std::size_t i = marked; i < newly_dominated_.size(); ++i) {
+        set_white(newly_dominated_[i]);
+      }
+      newly_dominated_.resize(marked);
       // Completeness: some dominator of pivot is in an optimal solution;
       // having explored "u in", the remaining branches may assume "u out".
       banned_[u] = 1;
-      newly_banned.push_back(u);
       if (!exact_) break;
     }
-    for (int u : newly_banned) banned_[u] = 0;
+    for (std::size_t i = base; i < tried; ++i) {
+      banned_[cands_[i] & 0xffffffffu] = 0;
+    }
+    cands_.resize(base);
   }
 
   const Graph& g_;
   int n_;
   int white_ = 0;
   std::vector<char> dominated_, banned_, pack_mark_;
+  std::vector<std::uint64_t> white_bits_;  // bit v set iff !dominated_[v]
+  // Per-node stacks: each descend() call truncates them back on return.
+  std::vector<std::uint64_t> cands_;       // candidate sort keys
+  std::vector<int> newly_dominated_;
+  std::vector<int> packed_;                // packing_bound()'s scratch
   std::vector<int> best_;
   std::int64_t nodes_ = 0, budget_;
   bool exact_ = true;
 };
 
 /// The width-gated cluster ladder: forest tree-DP -> treewidth DP (computed
-/// width <= tw_cap) -> budgeted B&B -> greedy + pruning. Fills `rep` with
+/// width <= tw_cap) -> budgeted B&B (its best set, counted as greedy, when
+/// the budget blows) -> greedy + pruning. Fills `rep` with
 /// the tier that produced the answer, the certified width when the DP ran,
 /// the B&B effort when that tier ran, and the wall time of this solve.
 inline std::vector<int> cluster_mds(const Graph& h, const LadderConfig& cfg,
@@ -367,14 +424,9 @@ inline std::vector<int> cluster_mds(const Graph& h, const LadderConfig& cfg,
     rep.bb_ran = true;
     rep.bb_nodes = bb.nodes();
     rep.bb_exact = bb.exact();
-    if (bb.exact()) {
-      rep.tier = SolveTier::kBranchBound;
-    } else {
-      rep.tier = SolveTier::kGreedy;
-      std::vector<int> fallback = greedy_mds(h);
-      prune_redundant(h, fallback);
-      if (fallback.size() < sol.size()) sol = std::move(fallback);
-    }
+    // A blown budget still returns the best set found, which is never
+    // larger than the pruned greedy set the search starts from.
+    rep.tier = bb.exact() ? SolveTier::kBranchBound : SolveTier::kGreedy;
   } else {  // kTreewidth mode past the width gate: no B&B rescue
     sol = greedy_mds(h);
     prune_redundant(h, sol);

@@ -145,6 +145,7 @@ inline void accumulate_tier(congest::SolverStats& stats, const TierReport& r) {
     ++stats.bb_runs;
     stats.bb_nodes += r.bb_nodes;
     if (r.bb_exact) ++stats.bb_exact_runs;
+    stats.bb_ms += r.ms;
   }
   stats.solve_ms += r.ms;
 }

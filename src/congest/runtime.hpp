@@ -336,7 +336,8 @@ class ChargeScope {
 /// bb_* columns surface branch-and-bound effort so a tier-choice regression
 /// shows up in bench JSON instead of silently, and solve_ms is the summed
 /// wall time of the per-cluster solver calls (a timing, not part of the
-/// deterministic output contract).
+/// deterministic output contract; bb_ms is its share from the clusters where
+/// a search ran).
 struct SolverStats {
   std::int64_t total_rounds = 0;  // == runtime.total() after finish()
   std::int64_t T = 0;             // routing-structure term of the decomposition
@@ -352,6 +353,7 @@ struct SolverStats {
   std::int64_t bb_nodes = 0;       // total nodes explored
   std::int64_t bb_exact_runs = 0;  // searches that finished within budget
   double solve_ms = 0.0;           // summed per-cluster solver wall time
+  double bb_ms = 0.0;              // solve_ms of the clusters a search ran in
   Runtime runtime;                 // phase-attributed breakdown
 
   void finish() { total_rounds = runtime.total(); }

@@ -1,12 +1,15 @@
 // apps/ exact kernels vs brute force on small random graphs, plus known
 // closed-form instances. These are the centralized baselines the
-// Theorem 1.2 application benches grade against.
+// Theorem 1.2 application benches grade against. The MDS branch and bound's
+// whole outcome (set, node count, exactness) is pinned to golden values.
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "apps/blossom.hpp"
+#include "apps/domination.hpp"
 #include "apps/exact.hpp"
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
@@ -156,4 +159,117 @@ TEST_CASE(exact_vertex_cover_complement) {
     for (const auto& [u, v] : g.edges()) CHECK(in[u] || in[v]);
     CHECK(static_cast<int>(vc.set.size()) == g.n() - brute_mis(g));
   }
+}
+
+namespace {
+
+std::uint64_t fnv1a(const std::vector<int>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (int x : v) {
+    const auto u = static_cast<std::uint32_t>(x);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (u >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+/// Complete bipartite K_{a,b}: every white vertex has a+1 or b+1
+/// candidates, so the pivot's candidate list is wider than a 64-bit word.
+Graph complete_bipartite(int a, int b) {
+  std::vector<std::pair<int, int>> e;
+  for (int u = 0; u < a; ++u) {
+    for (int v = 0; v < b; ++v) e.emplace_back(u, a + v);
+  }
+  return Graph::from_edges(a + b, std::move(e));
+}
+
+/// A cycle whose apex sees every other rim vertex: the apex (degree k/2)
+/// is a candidate of every even pivot, and the search runs past the root.
+Graph half_apexed_cycle(int k) {
+  std::vector<std::pair<int, int>> e;
+  for (int v = 0; v < k; ++v) e.emplace_back(v, (v + 1) % k);
+  for (int v = 0; v < k; v += 2) e.emplace_back(v, k);
+  return Graph::from_edges(k + 1, std::move(e));
+}
+
+struct PinnedBranch {
+  const char* name;
+  std::int64_t budget;  // < 0: unbounded
+  std::size_t size;
+  std::uint64_t set_fnv;
+  std::int64_t nodes;
+  bool exact;
+};
+
+// A budget no pinned search reaches: the run is exhaustive, but nodes are
+// counted (an unbounded search, budget < 0, reports nodes() == 0).
+constexpr std::int64_t kCounted = 1'000'000'000;
+
+// Golden MdsBranch outcomes. Budgets 1, 2 and 17 run out inside a
+// candidate loop on the way down; every grid run from 32x32 and 31x33
+// exhausts its budget (250k is the ladder's default).
+const PinnedBranch kPinnedBranches[] = {
+    {"grid32x32", 20'000, 246, 0x875e79c8ecbc300cULL, 20001, false},
+    {"grid32x32", 250'000, 246, 0x875e79c8ecbc300cULL, 250001, false},
+    {"grid31x33", 50'000, 245, 0x038562d1fcab9aeeULL, 50001, false},
+    {"grid32x32", 1, 266, 0x86ff0153b2e1d416ULL, 2, false},
+    {"grid32x32", 2, 266, 0x86ff0153b2e1d416ULL, 3, false},
+    {"grid32x32", 17, 266, 0x86ff0153b2e1d416ULL, 18, false},
+    {"wheel100", kCounted, 1, 0xcc9047690baeb3d1ULL, 1, true},
+    {"half_apexed_cycle200", 20'000, 51, 0x75622aef4e2011d9ULL, 4, true},
+    {"k65x65", kCounted, 2, 0x0a224a14447558f4ULL, 67, true},
+    {"grid6x6", kCounted, 10, 0x6b1218fb2891b72dULL, 381, true},
+    {"grid6x6", -1, 10, 0x6b1218fb2891b72dULL, 0, true},
+    {"planar40", kCounted, 4, 0x158c3221a77bdbecULL, 37, true},
+    {"planar40", -1, 4, 0x158c3221a77bdbecULL, 0, true},
+};
+
+Graph pinned_graph(const std::string& name) {
+  if (name == "grid32x32") return grid_graph(32, 32);
+  if (name == "grid31x33") return grid_graph(31, 33);
+  if (name == "wheel100") return add_apex(cycle_graph(100));
+  if (name == "half_apexed_cycle200") return half_apexed_cycle(200);
+  if (name == "k65x65") return complete_bipartite(65, 65);
+  if (name == "grid6x6") return grid_graph(6, 6);
+  Rng rng(40);
+  return random_maximal_planar(40, rng);
+}
+
+}  // namespace
+
+// Any change to the search (pivot rule, candidate order, packing order,
+// node counting, budget cut-off) moves a set hash or a node count here.
+TEST_CASE(mds_branch_outcome_pinned) {
+  for (const PinnedBranch& pin : kPinnedBranches) {
+    const Graph g = pinned_graph(pin.name);
+    apps::detail::MdsBranch bb(g, pin.budget);
+    const std::vector<int> set = bb.solve();
+    const std::string got =
+        std::string(pin.name) + " budget=" + std::to_string(pin.budget) +
+        ": got size=" + std::to_string(set.size()) + " fnv=" +
+        std::to_string(fnv1a(set)) + " nodes=" + std::to_string(bb.nodes()) +
+        " exact=" + std::to_string(bb.exact());
+    CHECK_MSG(set.size() == pin.size && fnv1a(set) == pin.set_fnv &&
+                  bb.nodes() == pin.nodes && bb.exact() == pin.exact,
+              got);
+  }
+  // The production ladder end to end on the mds-grid instance: four
+  // budget-blown B&B clusters plus DP/forest tiers.
+  const apps::MdsSolution sol =
+      apps::approx_min_dominating_set(grid_graph(64, 64), 0.4, 3);
+  const congest::SolverStats& st = sol.stats;
+  const std::string got =
+      "grid64x64 approx: got size=" + std::to_string(sol.vertices.size()) +
+      " fnv=" + std::to_string(fnv1a(sol.vertices)) +
+      " bb_nodes=" + std::to_string(st.bb_nodes) + " tiers F" +
+      std::to_string(st.tier_forest) + "/TW" + std::to_string(st.tier_tw_dp) +
+      "/BB" + std::to_string(st.tier_bb) + "/G" +
+      std::to_string(st.tier_greedy);
+  CHECK_MSG(sol.vertices.size() == 991 &&
+                fnv1a(sol.vertices) == 0x54e98aa8370ccbeeULL &&
+                st.bb_nodes == 1'000'004 && st.tier_forest == 1 &&
+                st.tier_tw_dp == 3 && st.tier_bb == 0 && st.tier_greedy == 4,
+            got);
 }

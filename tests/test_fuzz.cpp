@@ -16,7 +16,10 @@
 //     oracle's bit for bit, at any replay block size and thread count;
 //   * the engines' certify mode: every emitted cluster re-certifies, the
 //     certified/estimated split covers the cluster count, and the games'
-//     CONGEST charges keep the ledger auditable.
+//     CONGEST charges keep the ledger auditable;
+//   * the MDS branch and bound returns the same set, node count and
+//     exactness as a whole-graph-scan reference search at every budget, and
+//     never a set larger than the pruned greedy one it starts from.
 //
 // Iteration counts are bounded (the whole binary is a few seconds in Release)
 // and every draw derives from the case's fixed base seed, so a failure
@@ -27,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "apps/domination.hpp"
 #include "bench_common.hpp"
 #include "congest/shard.hpp"
 #include "decomp/edt.hpp"
@@ -129,6 +133,139 @@ double dense_alpha(int n, const expander::CutMatchingCertificate& cert) {
   for (double e : mix) mn = std::min(mn, e);
   return static_cast<double>(n) * mn;
 }
+
+/// Test oracle for apps::detail::MdsBranch: the search with whole-graph
+/// scans at every node (pack marks reset over all n, pivot scan over all n,
+/// comparator-computed coverage, per-node vectors). The production search
+/// walks only the white vertices; its set, node count and exactness must
+/// match this one exactly.
+class ReferenceMdsBranch {
+ public:
+  ReferenceMdsBranch(const Graph& g, std::int64_t node_budget)
+      : g_(g),
+        n_(g.n()),
+        white_(g.n()),
+        dominated_(n_, 0),
+        banned_(n_, 0),
+        budget_(node_budget) {}
+
+  /// Runs the search; exact() reports whether the budget survived.
+  std::vector<int> solve() {
+    best_ = apps::detail::greedy_mds(g_);
+    apps::detail::prune_redundant(g_, best_);
+    std::vector<int> chosen;
+    descend(chosen);
+    return best_;
+  }
+
+  bool exact() const { return exact_; }
+  std::int64_t nodes() const { return nodes_; }
+
+ private:
+  int coverage(int v) const {
+    int c = dominated_[v] ? 0 : 1;
+    for (int w : g_.neighbors(v)) c += dominated_[w] ? 0 : 1;
+    return c;
+  }
+
+  /// Greedy 2-packing of white vertices: closed neighborhoods of packed
+  /// vertices are disjoint, and every dominating set spends a distinct
+  /// vertex per packed vertex — a lower bound on what remains to pay.
+  int packing_bound() {
+    pack_mark_.assign(n_, 0);
+    int packed = 0;
+    for (int v = 0; v < n_; ++v) {
+      if (dominated_[v]) continue;
+      bool free = !pack_mark_[v];
+      if (free) {
+        for (int w : g_.neighbors(v)) {
+          if (pack_mark_[w]) {
+            free = false;
+            break;
+          }
+        }
+      }
+      if (!free) continue;
+      ++packed;
+      // Block everything within distance 2 (mark the closed neighborhood;
+      // a later candidate checks its own closed neighborhood against it).
+      pack_mark_[v] = 1;
+      for (int w : g_.neighbors(v)) pack_mark_[w] = 1;
+    }
+    return packed;
+  }
+
+  void descend(std::vector<int>& chosen) {
+    if (!exact_) return;
+    if (budget_ >= 0 && ++nodes_ > budget_) {
+      exact_ = false;
+      return;
+    }
+    if (static_cast<int>(chosen.size()) +
+            (white_ > 0 ? packing_bound() : 0) >=
+        static_cast<int>(best_.size())) {
+      return;
+    }
+    // Fewest-candidates white vertex.
+    int pivot = -1, pivot_cands = n_ + 1;
+    for (int v = 0; v < n_; ++v) {
+      if (dominated_[v]) continue;
+      int cands = banned_[v] ? 0 : 1;
+      for (int w : g_.neighbors(v)) cands += banned_[w] ? 0 : 1;
+      if (cands < pivot_cands) {
+        pivot = v;
+        pivot_cands = cands;
+      }
+    }
+    if (pivot < 0) {  // everything dominated: chosen is a full solution
+      best_ = chosen;
+      std::sort(best_.begin(), best_.end());
+      return;
+    }
+    if (pivot_cands == 0) return;  // infeasible branch
+    std::vector<int> cands;
+    if (!banned_[pivot]) cands.push_back(pivot);
+    for (int w : g_.neighbors(pivot)) {
+      if (!banned_[w]) cands.push_back(w);
+    }
+    std::sort(cands.begin(), cands.end(), [this](int a, int b) {
+      const int ca = coverage(a), cb = coverage(b);
+      return ca != cb ? ca > cb : a < b;
+    });
+    std::vector<int> newly_banned;
+    for (int u : cands) {
+      std::vector<int> newly_dominated;
+      const auto mark = [&](int x) {
+        if (!dominated_[x]) {
+          dominated_[x] = 1;
+          --white_;
+          newly_dominated.push_back(x);
+        }
+      };
+      mark(u);
+      for (int w : g_.neighbors(u)) mark(w);
+      chosen.push_back(u);
+      descend(chosen);
+      chosen.pop_back();
+      for (int x : newly_dominated) dominated_[x] = 0;
+      white_ += static_cast<int>(newly_dominated.size());
+      // Completeness: some dominator of pivot is in an optimal solution;
+      // having explored "u in", the remaining branches may assume "u out".
+      banned_[u] = 1;
+      newly_banned.push_back(u);
+      if (!exact_) break;
+    }
+    for (int u : newly_banned) banned_[u] = 0;
+  }
+
+  const Graph& g_;
+  int n_;
+  int white_ = 0;
+  std::vector<char> dominated_, banned_, pack_mark_;
+  std::vector<int> best_;
+  std::int64_t nodes_ = 0, budget_;
+  bool exact_ = true;
+};
 
 }  // namespace
 
@@ -458,4 +595,47 @@ TEST_CASE(fuzz_certify_audit) {
     CHECK_MSG(again.min_phi_lower == ed.min_phi_lower, ctx + ": deterministic");
     CHECK_MSG(again.clusters_certified == ed.clusters_certified, ctx);
   }
+}
+
+TEST_CASE(fuzz_mds_branch_reference) {
+  // The production branch and bound scans only the white vertices at each
+  // node; the reference scans the whole graph. Same pivot, candidate order,
+  // packing order and node counting, so every family, size and budget must
+  // give the same set, node count and exactness. Budgets 1 and 7 stop inside
+  // a candidate loop on the way down; the unbounded run (budget < 0) is the
+  // exact baseline's configuration.
+  int exhausted = 0, finished = 0;
+  for (std::uint64_t seed : {41u, 42u}) {
+    for (const std::string& family : kFamilies) {
+      for (int n : {24, 60, 120}) {
+        Rng rng(seed * 1000 + static_cast<std::uint64_t>(n));
+        const Graph g = make_family(family, n, rng);
+        std::vector<int> greedy = apps::detail::greedy_mds(g);
+        apps::detail::prune_redundant(g, greedy);
+        std::vector<std::int64_t> budgets = {1, 7, 500, 20'000};
+        if (n <= 24) budgets.push_back(-1);
+        for (std::int64_t budget : budgets) {
+          const std::string ctx = family + " n=" + std::to_string(n) +
+                                  " budget=" + std::to_string(budget) +
+                                  " seed=" + std::to_string(seed);
+          ReferenceMdsBranch ref(g, budget);
+          apps::detail::MdsBranch bb(g, budget);
+          const std::vector<int> want = ref.solve();
+          const std::vector<int> got = bb.solve();
+          CHECK_MSG(got == want, ctx + ": set differs from the reference");
+          CHECK_MSG(bb.nodes() == ref.nodes(),
+                    ctx + ": nodes " + std::to_string(bb.nodes()) + " vs " +
+                        std::to_string(ref.nodes()));
+          CHECK_MSG(bb.exact() == ref.exact(), ctx + ": exactness differs");
+          CHECK_MSG(got.size() <= greedy.size(),
+                    ctx + ": larger than the pruned greedy set");
+          (bb.exact() ? finished : exhausted) += 1;
+        }
+      }
+    }
+  }
+  // Non-vacuity: both budget outcomes occur in the sweep.
+  CHECK_MSG(exhausted > 0 && finished > 0,
+            "exhausted=" + std::to_string(exhausted) +
+                " finished=" + std::to_string(finished));
 }
